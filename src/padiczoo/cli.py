@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -84,6 +85,9 @@ def cmd_verify(args, config: RunConfig) -> int:
         return _verify_haar(args, config)
     entry = _entry_from_args(args, config)
     kwargs = {}
+    claim = entry.claims.get(args.claim)
+    if claim is not None and "seed" in inspect.signature(claim).parameters:
+        kwargs["seed"] = config.seed
     if args.limit is not None:
         key = "n_limit" if args.claim in ("n1-decay", "lip2-unbounded") \
             else "limit"

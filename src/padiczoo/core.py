@@ -149,6 +149,13 @@ class PadicNumber:
         n = max(abs_precision, valuation + len(ds))
         return _make(p, valuation, unit, n)
 
+    @staticmethod
+    def from_unit(p, valuation: int, unit: int,
+                  abs_precision: int) -> "PadicNumber":
+        """``unit * p**valuation`` known modulo ``p**abs_precision``, not
+        exact; p factors of ``unit`` move into the valuation."""
+        return _make(_as_prime_int(p), valuation, unit, abs_precision)
+
     # -- state predicates --------------------------------------------------
 
     @property
@@ -170,12 +177,17 @@ class PadicNumber:
         """Known digits from the valuation upward."""
         if self.unit == 0:
             return ()
-        rel = self.abs_precision - self.valuation
-        out, u = [], self.unit
-        for _ in range(rel):
-            u, d = divmod(u, self.prime)
-            out.append(d)
-        return tuple(out)
+        p, rel = self.prime, self.abs_precision - self.valuation
+        # peel machine-word limbs of k digits off the unit, then split each
+        # limb with small-integer arithmetic: p**k < 2**62
+        k = max(1, 62 // p.bit_length())
+        out, u, limb = [], self.unit, p ** k
+        for _ in range(0, rel, k):
+            u, w = divmod(u, limb)
+            for _ in range(k):
+                w, d = divmod(w, p)
+                out.append(d)
+        return tuple(out[:rel])
 
     def digit(self, i: int) -> int:
         """Base-p digit at position ``i`` (coefficient of p**i)."""
@@ -453,6 +465,11 @@ def pow_one_plus(y: PadicNumber, alpha: PadicNumber,
     Term i has norm at most p**-i, so ``abs_precision`` terms suffice.  The
     running-product binomial coefficients divide by i!, which costs at most
     ord_p(i!) <= i/(p-1) digits; the computation is padded accordingly.
+
+    The result is exact only when the series terminates within those terms:
+    y is exact zero, or alpha is an exact integer in [0, abs_precision].
+    Otherwise the partial sum is not the value, so the series runs on
+    truncated inputs and the result carries ``abs_precision`` digits.
     """
     if y.prime != alpha.prime:
         raise DomainError("prime mismatch between base and exponent")
@@ -465,6 +482,11 @@ def pow_one_plus(y: PadicNumber, alpha: PadicNumber,
     pad = n + n // (p - 1) + 4
     y = y.at_precision(pad) if y.exact is not None else y
     alpha = alpha.at_precision(pad) if alpha.exact is not None else alpha
+    a = alpha.exact
+    terminates = y.is_exact_zero or (
+        a is not None and a.denominator == 1 and 0 <= a <= n)
+    if not terminates:
+        y, alpha = y.truncated(pad), alpha.truncated(pad)
 
     total = PadicNumber.one(p, pad)
     coeff = PadicNumber.one(p, pad)

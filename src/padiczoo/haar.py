@@ -19,11 +19,17 @@ from .core import DomainError, PadicNumber
 DIGITS_PER_BLOCK = 8
 
 
+def _check_prime_fits(p: int) -> None:
+    if p >= 2 ** 32:
+        raise DomainError(f"p={p} is not below 2**32: digits are drawn as "
+                          "32-bit words reduced mod p")
+
+
 def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
     """Eight uniform digits from one hash invocation.
 
-    Each digit is a 32-bit word reduced mod p; the bias is below 2**-30
-    for any prime that fits the samplers here, far under Monte Carlo noise.
+    Each digit is a 32-bit word reduced mod p, so p must be below 2**32;
+    the bias is below p / 2**32, far under Monte Carlo noise for small p.
     """
     msg = struct.pack(">QQQQ", seed & (2 ** 64 - 1), sample, block, p)
     h = hashlib.sha256(msg).digest()
@@ -32,6 +38,7 @@ def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
 
 def digit_stream(seed: int, sample: int, p: int) -> Iterator[int]:
     """Digits d_0, d_1, ... of one Haar-uniform draw from Z_p."""
+    _check_prime_fits(p)
     block = 0
     while True:
         yield from _block_digits(seed, sample, block, p)
@@ -75,8 +82,10 @@ class MCReport:
 
     @property
     def z_score(self) -> float:
+        # the null-hypothesis error bar is 0 only where the target rounds
+        # to 0 or 1 in floating point; no deviation is measurable there
         if self.stderr == 0:
-            return 0.0 if self.estimate == self.target else math.inf
+            return 0.0
         return (self.estimate - self.target) / self.stderr
 
     def within(self, sigmas: float = 3.0) -> bool:
@@ -98,15 +107,20 @@ class MCReport:
 
 
 def _binomial_report(p: int, samples: int, seed: int, statistic: str,
-                     hits: int, target: float, **extras) -> MCReport:
-    est = hits / samples
-    se = math.sqrt(est * (1 - est) / samples)
+                     hits: int, target: float, trials: Optional[int] = None,
+                     **extras) -> MCReport:
+    """Estimate hits / trials with the error bar of the null hypothesis
+    "the rate is target", which stays positive when no trial hits."""
+    trials = trials or samples
+    est = hits / trials
+    se = math.sqrt(target * (1 - target) / trials)
     return MCReport(p, samples, seed, statistic, est, se, target,
                     dict(extras))
 
 
 def estimate_Y0(p: int, samples: int, seed: int) -> MCReport:
     """P[first digit pair is (0,0)]; target 1/p**2."""
+    _check_prime_fits(p)
     if samples < 1:
         raise DomainError("need at least one sample")
     hits = 0
@@ -133,6 +147,7 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
     A draw surviving k pairs has survived every prefix, so the counters
     are computed together and the estimates are monotone by construction.
     """
+    _check_prime_fits(p)
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if samples < 1:
@@ -157,6 +172,7 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
 
 def slln_report(p: int, n_pairs: int, samples: int, seed: int) -> MCReport:
     """Mean zero-pair fraction over the first n_pairs pairs; target 1/p**2."""
+    _check_prime_fits(p)
     if n_pairs < 1:
         raise DomainError("need at least one pair")
     n_digits = 2 * n_pairs
@@ -167,9 +183,7 @@ def slln_report(p: int, n_pairs: int, samples: int, seed: int) -> MCReport:
         for b in range(n_blocks):
             digits.extend(_block_digits(seed, i, b, p))
         total += sum(pair_indicator(digits, j) for j in range(n_pairs))
-    est = total / (samples * n_pairs)
     # pairs within a draw are independent under Haar measure, so the
     # aggregate count is binomial over samples * n_pairs trials
-    se = math.sqrt(est * (1 - est) / (samples * n_pairs))
-    return MCReport(p, samples, seed, "slln", est, se, 1 / p ** 2,
-                    {"n_pairs": n_pairs})
+    return _binomial_report(p, samples, seed, "slln", total, 1 / p ** 2,
+                            trials=samples * n_pairs, n_pairs=n_pairs)

@@ -14,6 +14,7 @@ from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import DomainError, InsufficientPrecision, PadicNumber
+from .vanderput import power_str
 
 # number of tail quotients that must agree before a limit is declared
 CONVERGENCE_WINDOW = 8
@@ -86,18 +87,8 @@ class WitnessTrace:
 
 
 def _norm_str(p: int, norm: Fraction, exact: bool) -> str:
-    if norm == 0:
-        return "0"
-    k = 0
-    q = Fraction(norm)
-    while q < 1:
-        q *= p
-        k -= 1
-    while q > 1:
-        q /= p
-        k += 1
-    s = f"{p}^{k}"
-    return s if exact else "<=" + s
+    s = power_str(p, norm)
+    return s if exact or norm == 0 else "<=" + s
 
 
 def _distinct(a: PadicNumber, b: PadicNumber) -> PadicNumber:

@@ -14,18 +14,22 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber
-from .quotients import PadicFunction
+
+if TYPE_CHECKING:  # quotients imports power_str from here
+    from .quotients import PadicFunction
 
 
 def _ilog(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1, computed without floats."""
-    s, q = 0, n
-    while q >= p:
-        q //= p
+    """floor(log_p n) for n >= 1: a floating-point estimate, corrected with
+    exact integer comparisons."""
+    s = int(math.log(n, p))
+    while s > 0 and p ** s > n:
+        s -= 1
+    while p ** (s + 1) <= n:
         s += 1
     return s
 

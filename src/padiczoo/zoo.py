@@ -7,6 +7,7 @@ claims.  Entries are registered under short stable names for the CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,6 +173,13 @@ def thm34ii_gN(N: IndexSet, p: int,
     differentiable with zero derivative; second difference quotients along
     the canonical triples have constant norm."""
 
+    @functools.lru_cache(maxsize=64)
+    def terms(v: int, hi: int) -> tuple:
+        """(index into the digits of a value with valuation v, p**2n) for
+        each n in N within [max(0, v), hi)."""
+        return tuple((n - v, p ** (2 * n))
+                     for n in range(max(0, v), hi) if n in N)
+
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
         if x.is_exact_zero:
@@ -183,16 +191,11 @@ def thm34ii_gN(N: IndexSet, p: int,
         hi = x.abs_precision
         if hi <= 0:
             raise InsufficientPrecision("no nonnegative digits known")
-        total = 0
-        for n in range(max(0, x.valuation), hi):
-            if n in N:
-                d = x.digit(n)
-                if d:
-                    total += d * p ** (2 * n)
+        digits = x.digits
+        total = sum(digits[i] * w for i, w in terms(x.valuation, hi))
         if total == 0:
             return PadicNumber.bounded_zero(p, 2 * hi)
-        out = PadicNumber.from_int(total, p, 2 * hi)
-        return out.truncated(2 * hi)
+        return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
     fn = PadicFunction(evaluate, modulus=lambda m: (m + 1) // 2,
                        domain_tag="Qp")
@@ -917,14 +920,26 @@ def prop26_g(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
 # ---------------------------------------------------------------------------
 # digit-pair truncation: differentiable off a measure-zero set
 
+def _first_zero_pair(x: PadicNumber, pairs: int) -> Optional[int]:
+    """Index of the first (0, 0) digit pair among the first ``pairs`` pairs
+    of x in Z_p, or None; raises when the scan reaches a pair that is not
+    fully known."""
+    known = pairs if x.exact is not None else min(pairs, x.abs_precision // 2)
+    r, base = x.residue(2 * known), x.prime ** 2
+    for i in range(known):
+        r, pair = divmod(r, base)
+        if pair == 0:
+            return i
+    if known < pairs:
+        raise InsufficientPrecision(f"digit pair {known} unknown")
+    return None
+
+
 def E_prefix_member(x: PadicNumber, k: int) -> bool:
     """No zero digit pair among the first k pairs of x in Z_p."""
     if k < 0:
         raise DomainError("pair count must be nonnegative")
-    for i in range(k):
-        if x.digit(2 * i) == 0 and x.digit(2 * i + 1) == 0:
-            return False
-    return True
+    return _first_zero_pair(x, k) is None
 
 
 def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
@@ -942,18 +957,16 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             if x.abs_precision >= 2:
                 return PadicNumber.zero(p, precision)
             raise InsufficientPrecision("first digit pair unknown")
-        hi = x.abs_precision
-        pairs = hi // 2
+        pairs = x.abs_precision // 2
         if pairs < 1:
             raise InsufficientPrecision("first digit pair unknown")
-        for i in range(pairs):
-            if x.digit(2 * i) == 0 and x.digit(2 * i + 1) == 0:
-                if i == 0:
-                    return PadicNumber.zero(p, precision)
-                total = sum(x.digit(j) * p ** j for j in range(2 * i))
-                return PadicNumber.from_int(total, p, precision)
-        # no zero pair among the known pairs: agrees with x so far
-        return x.truncated(2 * pairs)
+        i = _first_zero_pair(x, pairs)
+        if i is None:
+            # no zero pair among the known pairs: agrees with x so far
+            return x.truncated(2 * pairs)
+        if i == 0:
+            return PadicNumber.zero(p, precision)
+        return PadicNumber.from_int(x.residue(2 * i), p, precision)
 
     fn = PadicFunction(evaluate, modulus=lambda m: m + 2, domain_tag="Zp")
     entry = ZooEntry(name="thm2_f", function=fn,
@@ -978,13 +991,14 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         rng = random.Random(seed)
         for i in range(pairs):
             m = 1 + i % m_max
+            bound = Fraction(p) ** (-(2 * m + 1))
             x = _random_zp(rng, p, precision, min_valuation=0)
             y = x + _random_zp(rng, p, precision,
                                min_valuation=2 * m + 2)
-            if (x - y).norm_upper() >= Fraction(p) ** (-(2 * m + 1)):
+            if (x - y).norm_upper() >= bound:
                 continue
             d = (evaluate(x) - evaluate(y)).norm_upper()
-            if d >= Fraction(p) ** (-(2 * m + 1)):
+            if d >= bound:
                 return ClaimResult("continuity-modulus", False,
                                    {"m": m, "x": x.render()})
         return ClaimResult("continuity-modulus", True,
@@ -1094,38 +1108,35 @@ def linear_combination(entries: Sequence[ZooEntry],
     )
 
 
+# Each sampler draws a whole residue with one randrange call: the digits of
+# a uniform residue mod p**k are k independent uniform digits.
+
 def _random_zp(rng, p: int, precision: int,
                min_valuation: int = 0) -> PadicNumber:
-    digits = [rng.randrange(p) for _ in range(precision - min_valuation)]
-    x = PadicNumber.from_digits(p, min_valuation, digits, precision)
-    if x.is_zero_like:
+    unit = rng.randrange(p ** (precision - min_valuation))
+    if unit == 0:
         return PadicNumber.bounded_zero(p, precision)
-    return x
-
-
-def _random_unit(rng, p: int, precision: int) -> PadicNumber:
-    digits = [rng.randrange(1, p)] + [rng.randrange(p)
-                                      for _ in range(precision - 1)]
-    return PadicNumber.from_digits(p, 0, digits, precision)
+    return PadicNumber.from_unit(p, min_valuation, unit, precision)
 
 
 def _random_nonzero(rng, p: int, precision: int,
                     valuation_range: tuple[int, int] = (-4, 5)) -> PadicNumber:
     v = rng.randrange(*valuation_range)
-    digits = [rng.randrange(1, p)] + [rng.randrange(p)
-                                      for _ in range(precision - 1)]
-    return PadicNumber.from_digits(p, v, digits, v + precision)
+    # (leading digit - 1) + (p - 1) * (the other precision - 1 digits)
+    rest, lead = divmod(rng.randrange((p - 1) * p ** (precision - 1)), p - 1)
+    return PadicNumber.from_unit(p, v, lead + 1 + p * rest, v + precision)
 
 
 def _random_no_zero_pair(rng, p: int, precision: int) -> PadicNumber:
-    digits = []
-    for _ in range(precision // 2):
-        while True:
-            a, b = rng.randrange(p), rng.randrange(p)
-            if (a, b) != (0, 0):
-                digits.extend([a, b])
-                break
-    return PadicNumber.from_digits(p, 0, digits, 2 * (precision // 2))
+    # base p**2 - 1 digits of one draw, each shifted to a nonzero pair
+    pairs, base = precision // 2, p * p - 1
+    r = rng.randrange(base ** pairs)
+    unit, scale = 0, 1
+    for _ in range(pairs):
+        r, d = divmod(r, base)
+        unit += (d + 1) * scale
+        scale *= p * p
+    return PadicNumber.from_unit(p, 0, unit, 2 * pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -105,3 +105,36 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["schema"] == 1 and doc["value"].startswith("1 1")
+
+
+def test_verify_haar_large_prime_strict_json(capsys):
+    # every one of 2000 draws survives both pairs: the estimate is 1.0
+    code, out, _ = run(capsys, "--prime", "101", "verify", "haar",
+                       "E-prefix", "--samples", "2000", "--k", "2")
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(name)
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["passed"] and len(doc["reports"]) == 2
+
+
+def test_verify_forwards_seed(capsys, monkeypatch):
+    import padiczoo.cli as cli
+    seeds, build = [], cli.build_entry
+
+    def spying_build(*args, **kwargs):
+        entry = build(*args, **kwargs)
+        claim = entry.claims["zero-on-pzp"]
+
+        def spy(seed=0, **kw):
+            seeds.append(seed)
+            return claim(seed=seed, **kw)
+        entry.claims["zero-on-pzp"] = spy
+        return entry
+    monkeypatch.setattr(cli, "build_entry", spying_build)
+    for argv in (["--seed", "7"], []):
+        code, out, _ = run(capsys, "--prime", "3", *argv, "verify", "thm16",
+                           "zero-on-pzp")
+        assert code == 0 and json.loads(out)["seed"] == (7 if argv else 0)
+    assert seeds == [7, 0]

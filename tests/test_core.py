@@ -164,3 +164,31 @@ def test_agrees_with_shared_precision():
     y = PadicNumber.from_int(10 + 81, p, 4)
     assert x.agrees_with(y)
     assert not x.agrees_with(PadicNumber.from_int(11, p, 4))
+
+
+def test_pow_exact_only_when_series_terminates():
+    p = 3
+    y = PadicNumber.from_rational(p, 1 - p, p)
+    seventh = PadicNumber.from_rational(1, 7, p)
+    low = pow_one_plus(y, seventh, 16)
+    assert low.exact is None
+    with pytest.raises(InsufficientPrecision):
+        low.digit(40)
+    high = pow_one_plus(y, seventh, 64)
+    assert [low.digit(i) for i in range(16)] == \
+        [high.digit(i) for i in range(16)]
+    # a terminating series is the value itself
+    two = PadicNumber.from_int(2, p)
+    assert pow_one_plus(y, two, 16).exact == (1 + y.exact) ** 2
+    assert pow_one_plus(PadicNumber.zero(p), seventh, 16).exact == 1
+    # an integer exponent beyond the precision leaves terms out
+    assert pow_one_plus(y, PadicNumber.from_int(40, p), 16).exact is None
+
+
+def test_digits_match_digit_reads(rng):
+    for p in (2, 3, 5, 101):
+        for n in (1, 7, 31, 32, 33, 64, 130):
+            v = rng.randrange(-3, 4)
+            x = PadicNumber.from_unit(p, v, rng.randrange(1, p ** n), v + n)
+            assert x.digits == tuple(
+                x.digit(i) for i in range(x.valuation, x.abs_precision))

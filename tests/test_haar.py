@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -98,3 +99,31 @@ def test_input_validation():
         estimate_E_prefix_series(3, 0, 10, 0)
     with pytest.raises(DomainError):
         slln_report(3, 0, 10, 0)
+    # digits are 32-bit words reduced mod p: larger primes are refused
+    big = 4294967311  # the least prime above 2**32
+    with pytest.raises(DomainError):
+        estimate_Y0(big, 10, 0)
+    with pytest.raises(DomainError):
+        estimate_E_prefix_series(big, 2, 10, 0)
+    with pytest.raises(DomainError):
+        slln_report(big, 2, 10, 0)
+    with pytest.raises(DomainError):
+        sample_zp(0, 0, big, 4)
+    assert estimate_Y0(4294967291, 10, 0).within(3.0)  # below 2**32
+
+
+def test_null_hypothesis_error_bar():
+    # at p=101 no draw of 2000 hits a zero pair in the first two pairs, so
+    # the plug-in error bar would be 0; the null-hypothesis one is not
+    for r in estimate_E_prefix_series(101, 2, 2000, seed=0):
+        assert r.estimate == 1.0
+        assert r.stderr == pytest.approx(
+            math.sqrt(r.target * (1 - r.target) / 2000))
+        assert r.within(3.0) and math.isfinite(r.z_score)
+        json.loads(r.to_json(), parse_constant=_refuse)
+    s = slln_report(3, 50, 2000, seed=2)
+    assert s.stderr == pytest.approx(math.sqrt(1 / 9 * 8 / 9 / (2000 * 50)))
+
+
+def _refuse(name):
+    raise ValueError(f"non-standard JSON constant {name}")

@@ -117,3 +117,11 @@ def test_trace_json_schema():
     assert doc["verdict"]["kind"] == trace.verdict.kind
     assert all(set(r) >= {"index", "inputs", "quotient", "norm"}
                for r in doc["rows"])
+
+
+def test_norm_strings():
+    from padiczoo.quotients import _norm_str
+    assert _norm_str(3, Fraction(1, 9), True) == "3^-2"
+    assert _norm_str(3, Fraction(1, 243), False) == "<=3^-5"
+    assert _norm_str(5, Fraction(25), True) == "5^2"
+    assert _norm_str(2, Fraction(0), False) == "0"

@@ -128,3 +128,12 @@ def test_series_rows_zero_function():
     zero = PadicFunction(lambda x: PadicNumber.zero(p))
     series = decompose(zero, p)
     assert all(norm == 0 for _, norm in series_rows(series, 20))
+
+
+def test_power_str_large_exponents():
+    assert power_str(2, Fraction(1, 2 ** 10_000)) == "2^-10000"
+    assert power_str(3, Fraction(3 ** 4_001)) == "3^4001"
+    for p in (2, 3, 5, 7):
+        for k in range(1, 200):
+            assert ball_exponent(p ** k - 1, p) == k
+            assert ball_exponent(p ** k, p) == k + 1

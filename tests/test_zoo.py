@@ -1,7 +1,9 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiczoo.core import DomainError, InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
@@ -364,3 +366,176 @@ def test_unknown_claim_rejected():
     e = build_entry("thm34i", 5)
     with pytest.raises(DomainError):
         e.run_claim("no-such-claim")
+
+
+# --- kernels against per-digit references -------------------------------------
+
+def _thm34ii_by_digit(N, p, precision, x):
+    """thm34ii's value read one digit(n) at a time."""
+    if x.exact is not None and x.abs_precision < precision:
+        x = x.at_precision(precision)
+    if x.is_exact_zero:
+        return PadicNumber.zero(p, 2 * precision)
+    hi = x.abs_precision
+    if hi <= 0:
+        raise InsufficientPrecision("no nonnegative digits known")
+    if x.is_bounded_zero:
+        return PadicNumber.bounded_zero(p, 2 * hi)
+    total = sum(x.digit(n) * p ** (2 * n)
+                for n in range(max(0, x.valuation), hi) if n in N)
+    if total == 0:
+        return PadicNumber.bounded_zero(p, 2 * hi)
+    return PadicNumber.from_int(total, p, 2 * hi).truncated(2 * hi)
+
+
+def _thm2_f_by_digit(p, precision, x):
+    """thm2_f's value read one digit(n) at a time."""
+    if x.exact is not None and x.abs_precision < precision:
+        x = x.at_precision(precision)
+    if x.is_exact_zero:
+        return PadicNumber.zero(p, precision)
+    if not x.is_zero_like and x.valuation < 0:
+        raise DomainError("defined on Z_p only")
+    if x.is_bounded_zero:
+        if x.abs_precision >= 2:
+            return PadicNumber.zero(p, precision)
+        raise InsufficientPrecision("first digit pair unknown")
+    pairs = x.abs_precision // 2
+    if pairs < 1:
+        raise InsufficientPrecision("first digit pair unknown")
+    for i in range(pairs):
+        if x.digit(2 * i) == 0 and x.digit(2 * i + 1) == 0:
+            total = sum(x.digit(j) * p ** j for j in range(2 * i))
+            return PadicNumber.from_int(total, p, precision)
+    return x.truncated(2 * pairs)
+
+
+def _outcome(f, x):
+    """All fields of f(x), or the class of the error it raises."""
+    try:
+        y = f(x)
+    except (DomainError, InsufficientPrecision) as exc:
+        return type(exc)
+    return (y.valuation, y.unit, y.abs_precision, y.exact)
+
+
+def _kernel_inputs(rng, p, n):
+    """Truncated points with valuations -2..3 (some with zero digit pairs),
+    bounded zeros and exact rationals, at precision about n."""
+    xs = [PadicNumber.bounded_zero(p, m) for m in (1, 2, 5, n)]
+    xs += [PadicNumber.from_rational(a, b, p, n) for a, b in
+           ((1, 1 - p), (p ** 3, 1 - p), (1 + p * p, 1), (7, 3 * p + 1),
+            (0, 1), (1, p))]
+    for v in (-2, 0, 0, 1, 3):
+        for _ in range(4):
+            digits = [rng.randrange(1, p)] + [rng.randrange(p)
+                                              for _ in range(n - 1)]
+            z = rng.randrange(n // 2)  # plant a zero pair half of the time
+            if rng.random() < 0.5:
+                digits[2 * z: 2 * z + 2] = [0, 0]
+                digits[0] = digits[0] or 1
+            xs.append(PadicNumber.from_digits(p, v, digits, v + n))
+    return xs
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernels_match_per_digit_reference(p, n):
+    rng = random.Random(1000 * p + n)
+    N = IndexSet(3, 0, 0)
+    g = thm34ii_gN(N, p, n).function
+    f = thm2_f(p, n).function
+    for x in _kernel_inputs(rng, p, n):
+        assert _outcome(g, x) == _outcome(
+            lambda x: _thm34ii_by_digit(N, p, n, x), x), x.render()
+        assert _outcome(f, x) == _outcome(
+            lambda x: _thm2_f_by_digit(p, n, x), x), x.render()
+        if not x.is_zero_like and x.valuation >= 0 and x.abs_precision >= 8:
+            by_digit = all(x.digit(2 * i) or x.digit(2 * i + 1)
+                           for i in range(4))
+            assert E_prefix_member(x, 4) == by_digit
+
+
+def test_E_prefix_member_refuses_unknown_pairs():
+    x = PadicNumber.from_digits(3, 0, [1, 2, 1, 1, 0], 5)
+    assert not E_prefix_member(PadicNumber.bounded_zero(3, 4), 3)
+    with pytest.raises(InsufficientPrecision):
+        E_prefix_member(x, 3)
+    assert E_prefix_member(x, 2)
+
+
+# --- every seeded claim, over seeds -------------------------------------------
+
+SAMPLED_CLAIMS = [
+    ("thm34ii", "contraction", {"pairs": 150}),
+    ("thm16", "zero-on-pzp", {"samples": 40}),
+    ("prop26", "derivative-zero", {"samples": 100}),
+    ("prop26_g", "derivative-zero", {"samples": 100}),
+    ("thm2_f", "continuity-modulus", {"pairs": 150}),
+    ("thm2_f", "deviation", {"steps": 6}),
+]
+
+
+def test_sampled_claims_list_is_complete():
+    seeded = set()
+    for name in ENTRY_NAMES:
+        for claim, fn in build_entry(name, 3).claims.items():
+            if "seed" in inspect.signature(fn).parameters:
+                seeded.add((name, claim))
+    assert seeded == {(e, c) for e, c, _ in SAMPLED_CLAIMS}
+
+
+@pytest.mark.parametrize("entry,claim,size", SAMPLED_CLAIMS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sampled_claims_pass_for_seeds(p, entry, claim, size):
+    e = build_entry(entry, p)
+    for seed in range(1, 6):
+        assert e.run_claim(claim, seed=seed, **size).passed, seed
+
+
+# --- refining the precision never contradicts -----------------------------------
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_refinement_agrees_or_refuses(name, p, data):
+    n = data.draw(st.integers(8, 24), label="n")
+    k = data.draw(st.integers(1, 16), label="k")
+    v = data.draw(st.integers(-2, 4), label="valuation")
+    if data.draw(st.booleans(), label="rational"):
+        num = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(
+            lambda a: a % p), label="num")
+        den = data.draw(st.integers(1, 10 ** 4).filter(
+            lambda b: b % p), label="den")
+        num, den = (num * p ** v, den) if v >= 0 else (num, den * p ** -v)
+        x = PadicNumber.from_rational(num, den, p, n)
+    else:
+        m = data.draw(st.integers(1, 40), label="digits")
+        unit = data.draw(st.integers(0, p ** m - 1), label="unit")
+        x = PadicNumber.from_unit(p, v, unit, v + m)
+    # the analytic entries also run the non-terminating binomial series
+    beta = data.draw(st.sampled_from([None, (1, 7), (-2, 3 * p + 1)]),
+                     label="beta")
+
+    def entry(precision):
+        b = None if beta is None else PadicNumber.from_rational(
+            *beta, p, precision)
+        return build_entry(name, p, precision, beta=b).function
+
+    low, high = _outcome(entry(n), x), _outcome(entry(n + k), x)
+    if InsufficientPrecision in (low, high):
+        return
+    if DomainError in (low, high):
+        assert low == high == DomainError
+        return
+    # every digit both results give, also digits an exact-tagged result
+    # re-expands beyond its window, must be the same digit
+    a, b = PadicNumber(p, *low), PadicNumber(p, *high)
+    lo = min([y.valuation for y in (a, b) if not y.is_zero_like] + [0])
+    for i in range(lo, max(a.abs_precision, b.abs_precision)):
+        try:
+            da, db = a.digit(i), b.digit(i)
+        except InsufficientPrecision:
+            return
+        assert da == db, (i, x.render(), a.render(), b.render())
