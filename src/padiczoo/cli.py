@@ -86,11 +86,14 @@ def cmd_verify(args, config: RunConfig) -> int:
     entry = _entry_from_args(args, config)
     kwargs = {}
     claim = entry.claims.get(args.claim)
-    if claim is not None and "seed" in inspect.signature(claim).parameters:
+    params = inspect.signature(claim).parameters if claim is not None else {}
+    if "seed" in params:
         kwargs["seed"] = config.seed
-    if args.limit is not None:
-        key = "n_limit" if args.claim in ("n1-decay", "lip2-unbounded") \
-            else "limit"
+    if args.limit is not None and claim is not None:
+        key = next((k for k in ("limit", "n_limit") if k in params), None)
+        if key is None:
+            raise DomainError(f"claim {args.claim!r} of {entry.name} takes "
+                              "no --limit")
         kwargs[key] = args.limit
     result = entry.run_claim(args.claim, **kwargs)
     report = json.dumps({"schema": 1, **config.echo(),

@@ -1,13 +1,16 @@
 """Monte Carlo estimation of digit-pair statistics under Haar measure on Z_p.
 
 Sampling is counter-based and fully reproducible: digit block j of sample i
-under seed s is a pure function of (s, i, j), so estimates are bit-identical
-across runs and platforms for a fixed seed.
+under seed s is the sha256 of (s mod 2**64, i, j, p), so estimates are
+bit-identical across runs and platforms for a fixed seed.  The estimators
+hash blocks on demand: a draw's E-prefix scan hashes block j + 1 only when
+the pairs of blocks 0..j held no zero pair, and Y0 reads only block 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -17,6 +20,13 @@ from typing import Iterator, Optional
 from .core import DomainError, PadicNumber
 
 DIGITS_PER_BLOCK = 8
+PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
+
+# one block is the digest of the message (seed mod 2**64, sample, block, p)
+# read as eight big-endian 32-bit words; word t reduced mod p is digit t
+_pack_message = struct.Struct(">QQQQ").pack
+_unpack_words = struct.Struct(">8I").unpack
+_SEED_MASK = 2 ** 64 - 1
 
 
 def _check_prime_fits(p: int) -> None:
@@ -31,9 +41,9 @@ def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
     Each digit is a 32-bit word reduced mod p, so p must be below 2**32;
     the bias is below p / 2**32, far under Monte Carlo noise for small p.
     """
-    msg = struct.pack(">QQQQ", seed & (2 ** 64 - 1), sample, block, p)
-    h = hashlib.sha256(msg).digest()
-    return [w % p for w in struct.unpack(">8I", h)]
+    h = hashlib.sha256(_pack_message(seed & _SEED_MASK, sample, block,
+                                     p)).digest()
+    return [w % p for w in _unpack_words(h)]
 
 
 def digit_stream(seed: int, sample: int, p: int) -> Iterator[int]:
@@ -123,10 +133,12 @@ def estimate_Y0(p: int, samples: int, seed: int) -> MCReport:
     _check_prime_fits(p)
     if samples < 1:
         raise DomainError("need at least one sample")
+    sha256, s = hashlib.sha256, seed & _SEED_MASK
     hits = 0
     for i in range(samples):
-        d = _block_digits(seed, i, 0, p)
-        hits += pair_indicator(d, 0)
+        w = _unpack_words(sha256(_pack_message(s, i, 0, p)).digest())
+        if w[0] % p == 0 and w[1] % p == 0:
+            hits += 1
     return _binomial_report(p, samples, seed, "Y0", hits, 1 / p ** 2)
 
 
@@ -144,25 +156,35 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
                              seed: int) -> list[MCReport]:
     """Reports for k = 1..k_max from a single pass over the samples.
 
-    A draw surviving k pairs has survived every prefix, so the counters
-    are computed together and the estimates are monotone by construction.
+    Each draw is scanned up to its first zero pair, hashing a block only
+    when the pairs before it held none; stops[j] counts the draws whose
+    first zero pair is pair j (stops[k_max]: none among the k_max).  A draw
+    survives k pairs iff it stops at k or later, so the survivor counts are
+    suffix sums of stops and the estimates are monotone by construction.
     """
     _check_prime_fits(p)
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if samples < 1:
         raise DomainError("need at least one sample")
-    survivors = [0] * k_max
-    n_digits = 2 * k_max
-    n_blocks = -(-n_digits // DIGITS_PER_BLOCK)
+    sha256, s = hashlib.sha256, seed & _SEED_MASK
+    # word offsets of the pairs each block contributes to the first k_max
+    spans = [range(0, 2 * min(PAIRS_PER_BLOCK, k_max - first), 2)
+             for first in range(0, k_max, PAIRS_PER_BLOCK)]
+    stops = [0] * (k_max + 1)
     for i in range(samples):
-        digits: list[int] = []
-        for b in range(n_blocks):
-            digits.extend(_block_digits(seed, i, b, p))
-        for j in range(k_max):
-            if digits[2 * j] == 0 and digits[2 * j + 1] == 0:
-                break
-            survivors[j] += 1
+        j = k_max
+        for b, span in enumerate(spans):
+            w = _unpack_words(sha256(_pack_message(s, i, b, p)).digest())
+            for t in span:
+                if w[t] % p == 0 and w[t + 1] % p == 0:
+                    j = b * PAIRS_PER_BLOCK + t // 2
+                    break
+            else:
+                continue
+            break
+        stops[j] += 1
+    survivors = list(itertools.accumulate(reversed(stops[1:])))[::-1]
     return [
         _binomial_report(p, samples, seed, "E_prefix", survivors[j],
                          E_prefix_target(p, j + 1), k=j + 1)
@@ -175,14 +197,17 @@ def slln_report(p: int, n_pairs: int, samples: int, seed: int) -> MCReport:
     _check_prime_fits(p)
     if n_pairs < 1:
         raise DomainError("need at least one pair")
-    n_digits = 2 * n_pairs
-    n_blocks = -(-n_digits // DIGITS_PER_BLOCK)
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    sha256, s = hashlib.sha256, seed & _SEED_MASK
+    blocks = range(-(-n_pairs // PAIRS_PER_BLOCK))
+    unpack_draw = struct.Struct(f">{DIGITS_PER_BLOCK * len(blocks)}I").unpack
+    span = range(0, 2 * n_pairs, 2)
     total = 0
     for i in range(samples):
-        digits: list[int] = []
-        for b in range(n_blocks):
-            digits.extend(_block_digits(seed, i, b, p))
-        total += sum(pair_indicator(digits, j) for j in range(n_pairs))
+        w = unpack_draw(b"".join([sha256(_pack_message(s, i, b, p)).digest()
+                                  for b in blocks]))
+        total += sum([1 for t in span if w[t] % p == 0 and w[t + 1] % p == 0])
     # pairs within a draw are independent under Haar measure, so the
     # aggregate count is binomial over samples * n_pairs trials
     return _binomial_report(p, samples, seed, "slln", total, 1 / p ** 2,

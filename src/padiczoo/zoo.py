@@ -324,17 +324,25 @@ def build_disjoint_balls(p: int) -> BallSystem:
     return BallSystem(p)
 
 
-def lip_coefficient_rows(N: IndexSet, p: int,
-                         n_limit: int) -> Iterator[tuple[int, int, int, Fraction]]:
-    """Rows (n, sigma(n), m_sigma(n), |a_sigma(n)|) of the sparse van der
-    Put series; the schedule exponent is made nondecreasing along sigma."""
+def _lip_exponent_rows(N: IndexSet, p: int,
+                       n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
+    """Rows (n, sigma(n), m_sigma(n), n in N): |a_sigma(n)| is p**-m_sigma(n)
+    for n in N and 0 otherwise; the schedule exponent is made nondecreasing
+    along sigma."""
     balls = build_disjoint_balls(p)
     m_running = 0
     for n in range(n_limit + 1):
         k = balls.sigma(n)
         m_running = max(m_running, schedule_exponent(k, p))
-        norm = Fraction(p) ** (-m_running) if n in N else Fraction(0)
-        yield n, k, m_running, norm
+        yield n, k, m_running, n in N
+
+
+def lip_coefficient_rows(N: IndexSet, p: int,
+                         n_limit: int) -> Iterator[tuple[int, int, int, Fraction]]:
+    """Rows (n, sigma(n), m_sigma(n), |a_sigma(n)|) of the sparse van der
+    Put series."""
+    for n, k, m, member in _lip_exponent_rows(N, p, n_limit):
+        yield n, k, m, Fraction(p) ** (-m) if member else Fraction(0)
 
 
 def lip_fN(N: IndexSet, p: int,
@@ -379,28 +387,28 @@ def lip_fN(N: IndexSet, p: int,
     )
 
     def claim_n1_decay(n_limit: int = 10_000) -> ClaimResult:
-        worst = Fraction(0)
-        for n, k, m, norm in lip_coefficient_rows(N, p, n_limit):
-            if n < 2 or norm == 0:
+        # the products k / p**m are compared exactly, as integer
+        # cross-products, with the bound p / log n at the float log n
+        worst_k, worst_q = 0, 1
+        for n, k, m, member in _lip_exponent_rows(N, p, n_limit):
+            if n < 2 or not member:
                 continue
-            product = norm * k
-            bound = Fraction(p) / Fraction(math.log(n))
-            if product > bound:
+            q = p ** m
+            log_num, log_den = math.log(n).as_integer_ratio()
+            if k * log_num > p * q * log_den:
                 return ClaimResult("n1-decay", False, {"n": n})
-            worst = max(worst, product)
+            if k * worst_q > worst_k * q:
+                worst_k, worst_q = k, q
         return ClaimResult("n1-decay", True, {
-            "n_limit": n_limit, "max_product": float(worst)})
+            "n_limit": n_limit, "max_product": worst_k / worst_q})
 
     def claim_lip2_unbounded(n_limit: int = 10_000,
                              threshold: int = 100) -> ClaimResult:
-        sup = Fraction(0)
-        first_cross = None
-        for n, k, m, norm in lip_coefficient_rows(N, p, n_limit):
-            if norm == 0:
-                continue
-            sup = max(sup, norm * Fraction(k) ** 2)
-            if first_cross is None and sup > threshold:
-                first_cross = n
+        # the running sup of k**2 / p**m first exceeds the threshold where
+        # a single term does
+        first_cross = next((n for n, k, m, member
+                            in _lip_exponent_rows(N, p, n_limit)
+                            if member and k * k > threshold * p ** m), None)
         return ClaimResult("lip2-unbounded", first_cross is not None, {
             "n_limit": n_limit, "threshold": threshold,
             "first_crossing": first_cross})

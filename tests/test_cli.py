@@ -138,3 +138,25 @@ def test_verify_forwards_seed(capsys, monkeypatch):
                            "zero-on-pzp")
         assert code == 0 and json.loads(out)["seed"] == (7 if argv else 0)
     assert seeds == [7, 0]
+
+
+def test_verify_limit_refused_where_claim_has_none(capsys):
+    for entry, claim in (("thm2_f", "deviation"), ("thm34ii", "contraction"),
+                         ("thm16", "zero-on-pzp"),
+                         ("prop26", "derivative-zero")):
+        code, out, err = run(capsys, "--prime", "3", "verify", entry, claim,
+                             "--limit", "3")
+        assert code == 2 and out == ""
+        assert "--limit" in err and "Traceback" not in err
+
+
+def test_verify_limit_forwarded_under_claim_parameter(capsys):
+    # lip_fN claims bound their scan by n_limit, the others by limit
+    code, out, _ = run(capsys, "--prime", "3", "verify", "lip_fN",
+                       "n1-decay", "--limit", "30")
+    assert code == 0
+    assert json.loads(out)["details"]["n_limit"] == 30
+    code, out, _ = run(capsys, "--prime", "3", "verify", "cor15",
+                       "quotient-growth", "--limit", "2")
+    assert code == 0
+    assert json.loads(out)["details"]["limit"] == 2

@@ -127,3 +127,64 @@ def test_null_hypothesis_error_bar():
 
 def _refuse(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+# --- sampling kernels against a per-digit reference -------------------------
+
+KERNEL_SEEDS = (0, -5, 2 ** 64 + 3)
+KERNEL_SAMPLES = 300
+
+
+def _reference_draws(p, seed, samples, n_pairs):
+    draws = []
+    for i in range(samples):
+        stream = digit_stream(seed, i, p)
+        draws.append([next(stream) for _ in range(2 * n_pairs)])
+    return draws
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_kernels_match_digit_stream(p, seed):
+    n = KERNEL_SAMPLES
+    draws = _reference_draws(p, seed, n, 13)
+    for k in range(1, 14):  # k = 1..13 ends both on and between blocks
+        series = estimate_E_prefix_series(p, k, n, seed)
+        for j, r in enumerate(series):
+            survivors = sum(
+                1 for d in draws
+                if not any(pair_indicator(d, t) for t in range(j + 1)))
+            assert r.estimate == survivors / n, (k, j)
+        total = sum(pair_indicator(d, t) for d in draws for t in range(k))
+        assert slln_report(p, k, n, seed).estimate == total / (n * k), k
+    hits = sum(pair_indicator(d, 0) for d in draws)
+    assert estimate_Y0(p, n, seed).estimate == hits / n
+
+
+class _CountingHashlib:
+    def __init__(self, real):
+        self.real, self.calls = real, 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return self.real.sha256(*args)
+
+
+def _E_prefix_hashes_per_draw(monkeypatch, p, samples=4000):
+    import padiczoo.haar as haar
+    counter = _CountingHashlib(haar.hashlib)
+    monkeypatch.setattr(haar, "hashlib", counter)
+    estimate_E_prefix_series(p, 10, samples, seed=3)
+    return counter.calls / samples
+
+
+def test_E_prefix_hashes_blocks_on_demand(monkeypatch):
+    # a draw needs 1 + q**4 + q**8 blocks on average, q = 1 - 1/p**2:
+    # 1.42 at p=2, and nearly all 3 of the k=10 window at p=101
+    assert _E_prefix_hashes_per_draw(monkeypatch, 2) < 1.6
+    assert _E_prefix_hashes_per_draw(monkeypatch, 101) <= 3.0
+
+
+def test_slln_refuses_no_samples():
+    with pytest.raises(DomainError):
+        slln_report(3, 4, 0, 0)

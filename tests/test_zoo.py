@@ -150,6 +150,27 @@ def test_lip_claims_reduced():
     assert r.passed and r.details["first_crossing"] <= 20
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lip_claims_match_fraction_reference(p):
+    # the claims compare integer cross-products; the reference runs the
+    # same criteria in Fraction arithmetic on lip_coefficient_rows
+    import math
+    N = IndexSet(3, 0, 0)
+    e = lip_fN(N, p)
+    rows = [r for r in lip_coefficient_rows(N, p, 400) if r[3] != 0]
+    products = [norm * k for n, k, m, norm in rows if n >= 2]
+    assert all(norm * k <= Fraction(p) / Fraction(math.log(n))
+               for n, k, m, norm in rows if n >= 2)
+    assert e.run_claim("n1-decay", n_limit=400).details == {
+        "n_limit": 400, "max_product": float(max(products))}
+    for threshold in (0, 1, 100, 10 ** 6, 10 ** 40):
+        crossing = next((n for n, k, m, norm in rows
+                         if norm * Fraction(k) ** 2 > threshold), None)
+        r = e.run_claim("lip2-unbounded", n_limit=400, threshold=threshold)
+        assert r.passed == (crossing is not None)
+        assert r.details["first_crossing"] == crossing
+
+
 # --- analytic shell functions ------------------------------------------------
 
 def test_thm16_shell_values():
