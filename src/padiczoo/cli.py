@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
-    PadicNumber, Prime, parse_padic
+    Prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .vanderput import power_str
+from .vanderput import _as_float, power_str
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
 from .families import IndexSet
 
@@ -94,6 +94,8 @@ def cmd_verify(args, config: RunConfig) -> int:
         if key is None:
             raise DomainError(f"claim {args.claim!r} of {entry.name} takes "
                               "no --limit")
+        if args.limit < 0:
+            raise DomainError("--limit must be nonnegative")
         kwargs[key] = args.limit
     result = entry.run_claim(args.claim, **kwargs)
     report = json.dumps({"schema": 1, **config.echo(),
@@ -132,22 +134,13 @@ def cmd_table(args, config: RunConfig) -> int:
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
                 "product_n1", f"product_alpha_{alpha}"])
-    sup = Fraction(0)
     for n, k, m, norm in lip_coefficient_rows(N, p, args.n_max):
         p1 = norm * k
         pa = norm * Fraction(k) ** alpha
-        sup = max(sup, pa)
-        w.writerow([n, power_str(p, norm), _flt(norm), _flt(p1), _flt(pa)])
+        w.writerow([n, power_str(p, norm), _as_float(norm), _as_float(p1),
+                    _as_float(pa)])
     _emit(config, buf.getvalue().rstrip("\n"))
     return EXIT_PASS
-
-
-def _flt(q: Fraction) -> float:
-    try:
-        return float(q)
-    except OverflowError:
-        import math
-        return math.inf
 
 
 def cmd_haar(args, config: RunConfig) -> int:

@@ -123,7 +123,11 @@ def _binomial_report(p: int, samples: int, seed: int, statistic: str,
     "the rate is target", which stays positive when no trial hits."""
     trials = trials or samples
     est = hits / trials
-    se = math.sqrt(target * (1 - target) / trials)
+    q = 1 - target
+    if q == 0:
+        # an E-prefix target (1 - 1/p**2)**k rounds to 1 for p beyond ~10**8
+        q = -math.expm1(extras["k"] * math.log1p(-1 / p ** 2))
+    se = math.sqrt(target * q / trials)
     return MCReport(p, samples, seed, statistic, est, se, target,
                     dict(extras))
 

@@ -24,15 +24,13 @@ DIVERGENCE_EXPONENT = 64
 
 @dataclass(frozen=True)
 class PadicFunction:
-    """An evaluable function with a declared precision modulus.
+    """An evaluable function on Q_p or Z_p.
 
-    ``modulus(M)`` is the input precision needed to pin the output modulo
-    p**M.  Evaluators must be deterministic in the digits they consume and
-    must refine (never contradict) lower-precision outputs.
+    Evaluators must be deterministic in the digits they consume and must
+    refine (never contradict) lower-precision outputs.
     """
 
     evaluator: Callable[[PadicNumber], PadicNumber]
-    modulus: Callable[[int], int] = lambda m: m
     domain_tag: str = "Qp"
 
     def __call__(self, x: PadicNumber) -> PadicNumber:

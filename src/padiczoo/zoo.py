@@ -1,8 +1,8 @@
 """The gallery of pathological p-adic functions, one entry per construction.
 
 Each entry packages an evaluable function with its known derivative (when a
-closed form exists), canonical witness generators, and machine-checkable
-claims.  Entries are registered under short stable names for the CLI.
+closed form exists) and named, machine-checkable claims.  Entries are
+registered under short stable names for the CLI.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber, pow_one_plus
@@ -40,7 +40,6 @@ class ZooEntry:
     name: str
     function: PadicFunction
     derivative: Optional[PadicFunction] = None
-    witnesses: dict = field(default_factory=dict)
     claims: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -70,11 +69,6 @@ def _congruent(x: PadicNumber, c: PadicNumber, k: int) -> bool:
         f"congruence mod p^{k} needs more digits than are known")
 
 
-def _resolved_valuation(x: PadicNumber) -> Optional[int]:
-    """The valuation, or None when x is zero-like."""
-    return None if x.is_zero_like else x.valuation
-
-
 # ---------------------------------------------------------------------------
 # locally constant step on the disjoint balls inside spheres |x| = p^-n
 
@@ -101,12 +95,10 @@ def thm34i_fN(N: IndexSet, p: int,
         return PadicNumber.zero(p, 2 * precision)
 
     def derivative(x: PadicNumber) -> PadicNumber:
-        if x.is_exact_zero or x.is_bounded_zero:
-            # derivative 0 at the origin too, via |f(x)/x| = p^-n -> 0
-            return PadicNumber.zero(p, precision)
+        # 0 at the origin too, via |f(x)/x| = p^-n -> 0
         return PadicNumber.zero(p, precision)
 
-    fn = PadicFunction(evaluate, modulus=lambda m: m, domain_tag="Qp")
+    fn = PadicFunction(evaluate, domain_tag="Qp")
 
     def pair_witness(cell: CellEnumerator, limit: int = 40) -> Iterator:
         for n in cell:
@@ -128,7 +120,6 @@ def thm34i_fN(N: IndexSet, p: int,
         name="thm34i",
         function=fn,
         derivative=PadicFunction(derivative, domain_tag="Qp"),
-        witnesses={"pairs": pair_witness, "sequence": seq_witness},
         meta={"prime": p, "index_set": N, "precision": precision},
     )
 
@@ -197,8 +188,7 @@ def thm34ii_gN(N: IndexSet, p: int,
             return PadicNumber.bounded_zero(p, 2 * hi)
         return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
-    fn = PadicFunction(evaluate, modulus=lambda m: (m + 1) // 2,
-                       domain_tag="Qp")
+    fn = PadicFunction(evaluate, domain_tag="Qp")
 
     def derivative(x: PadicNumber) -> PadicNumber:
         return PadicNumber.zero(p, precision)
@@ -218,20 +208,20 @@ def thm34ii_gN(N: IndexSet, p: int,
         name="thm34ii",
         function=fn,
         derivative=PadicFunction(derivative, domain_tag="Qp"),
-        witnesses={"triples": triple_witness},
         meta={"prime": p, "index_set": N, "precision": precision},
     )
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
         import random
         rng = random.Random(seed)
-        worst = Fraction(0)
+        worst, checked = Fraction(0), 0
         for _ in range(pairs):
             x = _random_zp(rng, p, precision)
             y = _random_zp(rng, p, precision)
             d = x - y
             if d.is_zero_like:
                 continue
+            checked += 1
             lhs = (evaluate(x) - evaluate(y)).norm_upper()
             rhs = d.abs_value() ** 2
             if rhs > 0:
@@ -239,7 +229,7 @@ def thm34ii_gN(N: IndexSet, p: int,
             if lhs > rhs:
                 return ClaimResult("contraction", False,
                                    {"x": x.render(), "y": y.render()})
-        return ClaimResult("contraction", True,
+        return ClaimResult("contraction", checked > 0,
                            {"pairs": pairs, "worst_ratio": float(worst)})
 
     def claim_order2_witness(limit: int = 40) -> ClaimResult:
@@ -265,7 +255,12 @@ def thm34ii_gN(N: IndexSet, p: int,
 @dataclass(frozen=True)
 class BallSystem:
     """Pairwise disjoint van der Put balls n_k + p**t_k Z_p, enumerated by
-    the increasing bijection sigma."""
+    the increasing bijection sigma.
+
+    The centers are u * p**k, 1 <= u < p: exactly the ones the scan in
+    ``greedy_disjoint_balls`` selects.  The closed form keeps sigma cheap at
+    large indices, and tests cross-check it against the scan.
+    """
 
     prime: int
 
@@ -294,9 +289,6 @@ class BallSystem:
         j, u = x.valuation, x.digit(x.valuation)
         return j * (p - 1) + (u - 1) if p > 2 else j
 
-    def center(self, n: int) -> int:
-        return self.sigma(n)
-
     def radius_exponent(self, n: int) -> int:
         return ball_exponent(self.sigma(n), self.prime)
 
@@ -314,22 +306,12 @@ def greedy_disjoint_balls(p: int, scan_limit: int) -> list[int]:
     return out
 
 
-def build_disjoint_balls(p: int) -> BallSystem:
-    """The greedy system in closed form: centers u * p**k, 1 <= u < p.
-
-    The scan in ``greedy_disjoint_balls`` provably selects exactly these
-    centers; the closed form is used so that sigma stays cheap at large
-    indices, and tests cross-check it against the scan.
-    """
-    return BallSystem(p)
-
-
 def _lip_exponent_rows(N: IndexSet, p: int,
                        n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
     """Rows (n, sigma(n), m_sigma(n), n in N): |a_sigma(n)| is p**-m_sigma(n)
     for n in N and 0 otherwise; the schedule exponent is made nondecreasing
     along sigma."""
-    balls = build_disjoint_balls(p)
+    balls = BallSystem(p)
     m_running = 0
     for n in range(n_limit + 1):
         k = balls.sigma(n)
@@ -350,13 +332,7 @@ def lip_fN(N: IndexSet, p: int,
     """Sparse van der Put series with coefficient p**m_sigma(n) on the ball
     around sigma(n) for n in N: zero-derivative strictly differentiable but
     not Lipschitz of any order above 1."""
-    balls = build_disjoint_balls(p)
-
-    def coefficient_exponent(n: int) -> int:
-        m = 0
-        for j in range(n + 1):
-            m = max(m, schedule_exponent(balls.sigma(j), p))
-        return m
+    balls = BallSystem(p)
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
@@ -370,7 +346,7 @@ def lip_fN(N: IndexSet, p: int,
                 f"ball membership at index {n} needs {t} digits")
         if x.residue(t) != k % p ** t or n not in N:
             return PadicNumber.zero(p, precision)
-        m = coefficient_exponent(n)
+        m = max(schedule_exponent(balls.sigma(j), p) for j in range(n + 1))
         return PadicNumber.from_rational(p ** m, 1, p, precision + m)
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
@@ -389,17 +365,18 @@ def lip_fN(N: IndexSet, p: int,
     def claim_n1_decay(n_limit: int = 10_000) -> ClaimResult:
         # the products k / p**m are compared exactly, as integer
         # cross-products, with the bound p / log n at the float log n
-        worst_k, worst_q = 0, 1
+        worst_k, worst_q, checked = 0, 1, 0
         for n, k, m, member in _lip_exponent_rows(N, p, n_limit):
             if n < 2 or not member:
                 continue
+            checked += 1
             q = p ** m
             log_num, log_den = math.log(n).as_integer_ratio()
             if k * log_num > p * q * log_den:
                 return ClaimResult("n1-decay", False, {"n": n})
             if k * worst_q > worst_k * q:
                 worst_k, worst_q = k, q
-        return ClaimResult("n1-decay", True, {
+        return ClaimResult("n1-decay", checked > 0, {
             "n_limit": n_limit, "max_product": worst_k / worst_q})
 
     def claim_lip2_unbounded(n_limit: int = 10_000,
@@ -433,13 +410,14 @@ def _head_and_offset(x: PadicNumber, p: int) -> Optional[tuple]:
         return None
     if x.valuation >= 1:
         return None
+    if x.abs_precision < 1:
+        raise InsufficientPrecision(
+            f"digit {x.abs_precision} unknown at precision {x.abs_precision}")
     n = -x.valuation
-    head = Fraction(0)
-    for i in range(x.valuation, 1):
-        head += x.digit(i) * Fraction(p) ** i
-    y = x - PadicNumber.from_rational(
-        head.numerator, head.denominator, p, x.abs_precision)
-    return n, y
+    # the digits at positions -n..0 are the lowest n + 1 digits of the unit
+    head = PadicNumber.from_rational(x.unit % p ** (n + 1), p ** n, p,
+                                     x.abs_precision)
+    return n, x - head
 
 
 def thm16_fbeta(beta: PadicNumber, p: int,
@@ -474,30 +452,27 @@ def thm16_fbeta(beta: PadicNumber, p: int,
     fn = PadicFunction(evaluate, domain_tag="Qp")
     dfn = PadicFunction(derivative, domain_tag="Qp")
 
-    def shell_witness(y0: Optional[PadicNumber] = None,
-                      limit: int = 20) -> Iterator:
-        y0 = y0 if y0 is not None else PadicNumber.zero(p, precision)
+    def shell_witness(limit: int) -> Iterator:
         for n in range(1, limit + 1):
-            x = PadicNumber.from_rational(1, p ** n, p, precision) + y0
-            yield n, x
+            yield n, PadicNumber.from_rational(1, p ** n, p, precision)
 
     entry = ZooEntry(
         name="thm16",
         function=fn,
         derivative=dfn,
-        witnesses={"shells": shell_witness},
         meta={"prime": p, "beta": beta, "precision": precision},
     )
 
     def claim_unbounded_derivative(limit: int = 20) -> ClaimResult:
         beta_norm = beta.abs_value()
-        for n, x in shell_witness(limit=limit):
+        for n, x in shell_witness(limit):
             want = beta_norm * Fraction(p) ** n
             got = derivative(x).abs_value()
             if got != want:
                 return ClaimResult("unbounded-derivative", False,
                                    {"n": n, "got": str(got)})
-        return ClaimResult("unbounded-derivative", True, {"limit": limit})
+        return ClaimResult("unbounded-derivative", limit >= 1,
+                           {"limit": limit})
 
     def claim_zero_on_pzp(samples: int = 100, seed: int = 0) -> ClaimResult:
         import random
@@ -506,7 +481,7 @@ def thm16_fbeta(beta: PadicNumber, p: int,
             y = _random_zp(rng, p, precision, min_valuation=1)
             if not evaluate(y).is_exact_zero:
                 return ClaimResult("zero-on-pzp", False, {"y": y.render()})
-        return ClaimResult("zero-on-pzp", True, {"samples": samples})
+        return ClaimResult("zero-on-pzp", samples >= 1, {"samples": samples})
 
     entry.claims = {
         "unbounded-derivative": claim_unbounded_derivative,
@@ -704,7 +679,7 @@ def _attach_shell_derivative(entry, entries, monomials, betas, p,
                 return ClaimResult("derivative-norm-growth", False,
                                    {"n": n, "got": str(got),
                                     "want": str(want)})
-        return ClaimResult("derivative-norm-growth", True, {
+        return ClaimResult("derivative-norm-growth", n_max >= n0, {
             "n0": n0, "n_max": n_max, "leading_degree": k1,
             "constant_norm": float(c), "witness": y1.render()})
 
@@ -776,7 +751,7 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
             want = PadicNumber.from_int(p ** n, p, precision)
             if not got.agrees_with(want):
                 return ClaimResult("center-values", False, {"n": n})
-        return ClaimResult("center-values", True, {"limit": limit})
+        return ClaimResult("center-values", limit >= 1, {"limit": limit})
 
     entry.claims = {"center-values": claim_values_on_centers}
     return entry
@@ -807,8 +782,6 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
             x = a + PadicNumber.from_int(p ** (n * n) + p ** (n * n + 1), p, w)
             yield n, x
 
-    entry.witnesses["quotients"] = quotient_witness
-
     def claim_quotient_growth(limit: int = 6) -> ClaimResult:
         fa = evaluate(a)
         for n, x in quotient_witness(limit):
@@ -817,10 +790,11 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
             if q.abs_value() != want:
                 return ClaimResult("quotient-growth", False,
                                    {"n": n, "got": str(q.abs_value())})
-        return ClaimResult("quotient-growth", True, {"limit": limit})
+        return ClaimResult("quotient-growth", limit >= 1, {"limit": limit})
 
     def claim_continuity_at_center(limit: int = 5) -> ClaimResult:
         # |x - a| < p^{1-n^2} must force |F(x)| <= p^-n
+        checked = 0
         for n in range(1, limit + 1):
             for ball_n in range(n, n + 3):
                 w = max(precision, ball_n * ball_n + ball_n + 8)
@@ -828,11 +802,13 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                     p ** (ball_n * ball_n) + p ** (ball_n * ball_n + 2), p, w)
                 if (x - a).abs_value() >= Fraction(p) ** (1 - n * n):
                     continue
+                checked += 1
                 val = evaluate(x) - fa_cache
                 if val.norm_upper() > Fraction(p) ** (-n):
                     return ClaimResult("continuity-at-center", False,
                                        {"n": n, "ball_n": ball_n})
-        return ClaimResult("continuity-at-center", True, {"limit": limit})
+        return ClaimResult("continuity-at-center", checked > 0,
+                           {"limit": limit})
 
     fa_cache = evaluate(a)
     entry.claims = {
@@ -912,17 +888,14 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             if not q.is_zero_like:
                 return ClaimResult("derivative-zero", False,
                                    {"x": x.render()})
-        return ClaimResult("derivative-zero", True, {"samples": samples})
+        return ClaimResult("derivative-zero", samples >= 1,
+                           {"samples": samples})
 
     entry.claims = {
         "ratio-growth": claim_ratio_growth,
         "derivative-zero": claim_derivative_zero,
     }
     return entry
-
-
-def prop26_g(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
-    return prop26_fN(None, p, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +949,7 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return PadicNumber.zero(p, precision)
         return PadicNumber.from_int(x.residue(2 * i), p, precision)
 
-    fn = PadicFunction(evaluate, modulus=lambda m: m + 2, domain_tag="Zp")
+    fn = PadicFunction(evaluate, domain_tag="Zp")
     entry = ZooEntry(name="thm2_f", function=fn,
                      meta={"prime": p, "precision": precision})
 
@@ -991,12 +964,11 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             xbar = PadicNumber.from_digits(p, 0, digits, x.abs_precision)
             yield n, (x, xbar)
 
-    entry.witnesses["deviation"] = deviation_witness
-
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
                                  seed: int = 0) -> ClaimResult:
         import random
         rng = random.Random(seed)
+        checked = 0
         for i in range(pairs):
             m = 1 + i % m_max
             bound = Fraction(p) ** (-(2 * m + 1))
@@ -1005,11 +977,12 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
                                min_valuation=2 * m + 2)
             if (x - y).norm_upper() >= bound:
                 continue
+            checked += 1
             d = (evaluate(x) - evaluate(y)).norm_upper()
             if d >= bound:
                 return ClaimResult("continuity-modulus", False,
                                    {"m": m, "x": x.render()})
-        return ClaimResult("continuity-modulus", True,
+        return ClaimResult("continuity-modulus", checked > 0,
                            {"pairs": pairs, "m_max": m_max})
 
     def claim_deviation(steps: int = 10, seed: int = 0) -> ClaimResult:
@@ -1072,8 +1045,6 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
             # p^n (1 + p + p^2 + ...) = p^n / (1 - p)
             yield n, PadicNumber.from_rational(p ** n, 1 - p, p, w)
 
-    entry.witnesses["at-zero"] = zero_witness
-
     def claim_not_differentiable_at_zero(limit: int = 40) -> ClaimResult:
         zero = PadicNumber.zero(p, precision)
         trace = probe_derivative(fn, zero, zero_witness(limit), steps=limit)
@@ -1084,11 +1055,6 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
 
     entry.claims = {"quotient-norm-one": claim_not_differentiable_at_zero}
     return entry
-
-
-def thm2_fN(N: IndexSet, p: int,
-            precision: int = DEFAULT_PRECISION) -> ZooEntry:
-    return thm2_g(p, precision, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,11 +1116,6 @@ def _random_no_zero_pair(rng, p: int, precision: int) -> PadicNumber:
 # ---------------------------------------------------------------------------
 # registry
 
-def default_index_set(p: int = 2, k: int = 3, bit: int = 0,
-                      ground: str = "N") -> IndexSet:
-    return IndexSet(k, bit, 1 if ground == "N" else 0)
-
-
 def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
                 family_size: int = 3, member_bit: int = 0,
                 beta: Optional[PadicNumber] = None) -> ZooEntry:
@@ -1173,10 +1134,10 @@ def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
         "cor15_g": lambda: cor15_gbeta(beta, PadicNumber.zero(p, precision),
                                        p, precision),
         "prop26": lambda: prop26_fN(N, p, precision),
-        "prop26_g": lambda: prop26_g(p, precision),
+        "prop26_g": lambda: prop26_fN(None, p, precision),
         "thm2_f": lambda: thm2_f(p, precision),
         "thm2_g": lambda: thm2_g(p, precision),
-        "thm2_fN": lambda: thm2_fN(N, p, precision),
+        "thm2_fN": lambda: thm2_g(p, precision, N=N),
     }
     if name not in builders:
         raise DomainError(f"unknown entry {name!r}; have {sorted(builders)}")

@@ -1,6 +1,10 @@
+import inspect
 import json
 
+import pytest
+
 from padiczoo.cli import main
+from padiczoo.zoo import ENTRY_NAMES, build_entry
 
 
 def run(capsys, *argv):
@@ -160,3 +164,37 @@ def test_verify_limit_forwarded_under_claim_parameter(capsys):
                        "quotient-growth", "--limit", "2")
     assert code == 0
     assert json.loads(out)["details"]["limit"] == 2
+
+
+LIMITED_CLAIMS = [
+    (name, claim)
+    for name in ENTRY_NAMES
+    for claim, fn in sorted(build_entry(name, 3).claims.items())
+    if {"limit", "n_limit"} & set(inspect.signature(fn).parameters)]
+
+
+@pytest.mark.parametrize("entry,claim", LIMITED_CLAIMS)
+def test_verify_limit_zero_fails_and_negative_is_refused(capsys, entry,
+                                                         claim):
+    # a claim that checked no point, step or row cannot pass
+    code, out, _ = run(capsys, "--prime", "3", "verify", entry, claim,
+                       "--limit", "0")
+    assert code == 1 and not json.loads(out)["passed"]
+    code, out, err = run(capsys, "--prime", "3", "verify", entry, claim,
+                         "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "--limit" in err and "Traceback" not in err
+
+
+def test_verify_n1_decay_needs_a_row_from_n_two(capsys):
+    code, out, _ = run(capsys, "--prime", "3", "verify", "lip_fN",
+                       "n1-decay", "--limit", "1")
+    assert code == 1 and not json.loads(out)["passed"]
+
+
+def test_thm16_refuses_literal_without_digit_zero(capsys):
+    # the head of x = p^-3 + ... needs digit 0, which is not known
+    for literal in ("1 * 3^-3 (mod 3^0)", "1 2 * 3^-3 (mod 3^-1)"):
+        code, out, err = run(capsys, "--prime", "3", "eval", "thm16",
+                             literal)
+        assert code == 3 and out == "" and "precision" in err

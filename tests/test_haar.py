@@ -6,6 +6,7 @@ import pytest
 from padiczoo.core import DomainError
 from padiczoo.haar import (
     E_prefix_target,
+    _binomial_report,
     digit_stream,
     estimate_E_prefix,
     estimate_E_prefix_series,
@@ -123,6 +124,18 @@ def test_null_hypothesis_error_bar():
         json.loads(r.to_json(), parse_constant=_refuse)
     s = slln_report(3, 50, 2000, seed=2)
     assert s.stderr == pytest.approx(math.sqrt(1 / 9 * 8 / 9 / (2000 * 50)))
+
+
+def test_error_bar_where_target_rounds_to_one():
+    # for p near 10**9 the E-prefix target (1 - 1/p**2)**k is 1.0 in floats
+    p = 1000000007
+    r = estimate_E_prefix_series(p, 1, 10, 0)[0]
+    assert r.target == 1.0 and r.stderr > 0
+    assert r.within(3.0) == (abs(r.z_score) <= 3.0)
+    # a single zero pair among ten draws is a measurable deviation there
+    hit = _binomial_report(p, 10, 0, "E_prefix", 9, r.target, k=1)
+    assert hit.stderr > 0 and not hit.within(3.0)
+    assert hit.within(3.0) == (abs(hit.z_score) <= 3.0)
 
 
 def _refuse(name):

@@ -5,11 +5,9 @@ Each digest is the sha256 of the stdout of one ``padiczoo`` command at
 estimators or the report format changes a digest and fails here.
 """
 
-import hashlib
-
 import pytest
 
-from padiczoo.cli import main
+from conftest import assert_cli_golden
 
 GOLDEN = {
     (2, "haar"): "8f09529dd29bf17e66dedcd5e31b37db980d4a6800b059fdd3511e00f7849c36",
@@ -34,6 +32,5 @@ def test_haar_output_matches_golden(capsys, p, command):
         argv += ["haar"]
     else:
         argv += ["verify", "haar", command]
-    assert main(argv + ["--samples", "3000", "--k", "10"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[p, command]
+    argv += ["--samples", "3000", "--k", "10"]
+    assert_cli_golden(capsys, [argv], GOLDEN[p, command], "0")

@@ -11,8 +11,8 @@ from padiczoo.vanderput import ball_exponent
 from padiczoo.zoo import (
     ENTRY_NAMES,
     E_prefix_member,
+    BallSystem,
     Monomial,
-    build_disjoint_balls,
     build_entry,
     check_nonconstant_combination,
     cor15_Fbeta,
@@ -28,6 +28,7 @@ from padiczoo.zoo import (
     thm2_g,
     thm34i_fN,
     thm34ii_gN,
+    _head_and_offset,
 )
 
 
@@ -35,7 +36,7 @@ from padiczoo.zoo import (
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sigma_matches_greedy_scan(p):
-    bs = build_disjoint_balls(p)
+    bs = BallSystem(p)
     scanned = greedy_disjoint_balls(p, 3000)
     expected = []
     n = 0
@@ -48,7 +49,7 @@ def test_sigma_matches_greedy_scan(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_balls_pairwise_disjoint(p):
-    bs = build_disjoint_balls(p)
+    bs = BallSystem(p)
     centers = [(bs.sigma(n), bs.radius_exponent(n)) for n in range(50)]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
@@ -58,7 +59,7 @@ def test_balls_pairwise_disjoint(p):
 
 
 def test_sigma_increasing_and_inverse():
-    bs = build_disjoint_balls(3)
+    bs = BallSystem(3)
     vals = [bs.sigma(n) for n in range(100)]
     assert vals == sorted(vals) and len(set(vals)) == 100
     for n in range(30):
@@ -191,6 +192,25 @@ def test_thm16_shell_values():
     assert v.abs_value() == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_head_and_offset_matches_digit_reads(p, rng):
+    for v in range(-1, -7, -1):
+        num = rng.randrange(10 ** 6) * p + 1
+        points = [PadicNumber.from_rational(num, p ** -v, p, 24)]
+        for width in (1 - v, 2 - v, 20):
+            unit = rng.randrange(p ** width) * p + 1
+            points.append(PadicNumber.from_unit(p, v, unit, v + width))
+        for x in points:
+            head = sum(x.digit(i) * Fraction(p) ** i for i in range(v, 1))
+            y = x - PadicNumber.from_rational(
+                head.numerator, head.denominator, p, x.abs_precision)
+            assert _head_and_offset(x, p) == (-v, y), x.render()
+        # digit 0 unknown: the head is not determined
+        x = PadicNumber.from_unit(p, v, 1, 0)
+        with pytest.raises(InsufficientPrecision):
+            _head_and_offset(x, p)
+
+
 def test_thm16_rejects_bad_exponent():
     p = 3
     with pytest.raises(DomainError):
@@ -243,6 +263,7 @@ def test_poly_combine_growth_claim():
     comb = poly_combine(entries, mono, 64, search_depth=2)
     r = comb.run_claim("derivative-norm-growth", n_max=12)
     assert r.passed and r.details["leading_degree"] == 2
+    assert not comb.run_claim("derivative-norm-growth", n_max=0).passed
 
 
 # --- pinched branch ----------------------------------------------------------
@@ -512,6 +533,12 @@ def test_sampled_claims_pass_for_seeds(p, entry, claim, size):
     e = build_entry(entry, p)
     for seed in range(1, 6):
         assert e.run_claim(claim, seed=seed, **size).passed, seed
+
+
+@pytest.mark.parametrize("entry,claim,size", SAMPLED_CLAIMS)
+def test_sampled_claims_fail_on_no_draws(entry, claim, size):
+    e = build_entry(entry, 3)
+    assert not e.run_claim(claim, **{k: 0 for k in size}).passed
 
 
 # --- refining the precision never contradicts -----------------------------------
