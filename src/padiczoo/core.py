@@ -460,44 +460,43 @@ def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNu
 
 def pow_one_plus(y: PadicNumber, alpha: PadicNumber,
                  abs_precision: int = DEFAULT_PRECISION) -> PadicNumber:
-    """(1+y)**alpha for y in pZ_p and alpha in Z_p, via the binomial series.
+    """(1+y)**alpha for y in pZ_p and alpha in Z_p, by one modular power.
 
-    Term i has norm at most p**-i, so ``abs_precision`` terms suffice.  The
-    running-product binomial coefficients divide by i!, which costs at most
-    ord_p(i!) <= i/(p-1) digits; the computation is padded accordingly.
+    For v(y) >= 1, ``(1+y)**(p**k) = 1 mod p**(k + v(y))`` at every p,
+    p = 2 included.  So y known mod p**a_y fixes the value mod
+    p**(a_y + v(alpha)), and alpha known mod p**a_alpha fixes it mod
+    p**(a_alpha + v(y)).  The result is ``pow(1 + y, alpha, p**m)`` with
+    m = min(abs_precision, a_y + v(alpha), a_alpha + v(y)), each bound taken
+    over the inexact inputs only; a precision-bounded zero's valuation is
+    its precision.
 
-    The result is exact only when the series terminates within those terms:
-    y is exact zero, or alpha is an exact integer in [0, abs_precision].
-    Otherwise the partial sum is not the value, so the series runs on
-    truncated inputs and the result carries ``abs_precision`` digits.
+    The result is exact only when (1+y)**alpha is a rational the inputs
+    determine: y is exact zero, alpha is exact zero, or y is exact and
+    alpha is an exact integer in [0, abs_precision].
     """
     if y.prime != alpha.prime:
         raise DomainError("prime mismatch between base and exponent")
-    p = y.prime
-    if not y.is_zero_like and y.valuation < 1:
-        raise DomainError("base offset must lie in pZ_p")
-    if not alpha.is_zero_like and alpha.valuation < 0:
-        raise DomainError("exponent must lie in Z_p")
-    n = abs_precision
-    pad = n + n // (p - 1) + 4
-    y = y.at_precision(pad) if y.exact is not None else y
-    alpha = alpha.at_precision(pad) if alpha.exact is not None else alpha
+    p, n = y.prime, abs_precision
+    for x, low, domain in ((y, 1, "base offset must lie in pZ_p"),
+                           (alpha, 0, "exponent must lie in Z_p")):
+        if x.is_bounded_zero and x.valuation < low:
+            raise InsufficientPrecision(f"{domain}: too few digits known")
+        if not x.is_zero_like and x.valuation < low:
+            raise DomainError(domain)
+    if y.is_exact_zero or alpha.is_exact_zero:
+        return PadicNumber.one(p, n)
     a = alpha.exact
-    terminates = y.is_exact_zero or (
-        a is not None and a.denominator == 1 and 0 <= a <= n)
-    if not terminates:
-        y, alpha = y.truncated(pad), alpha.truncated(pad)
-
-    total = PadicNumber.one(p, pad)
-    coeff = PadicNumber.one(p, pad)
-    ypow = PadicNumber.one(p, pad)
-    for i in range(1, n + 1):
-        step = alpha - PadicNumber.from_int(i - 1, p, pad)
-        if step.is_exact_zero:
-            break  # alpha is the integer i-1: the series terminates
-        coeff = coeff * step / PadicNumber.from_int(i, p, pad)
-        ypow = ypow * y
-        if ypow.is_exact_zero:
-            break
-        total = total + coeff * ypow
-    return total.truncated(n) if total.exact is None else total.at_precision(n)
+    if (y.exact is not None and a is not None and a.denominator == 1
+            and 0 <= a <= n):
+        return _from_exact(p, (1 + y.exact) ** int(a), n)
+    m = n
+    if y.exact is None:
+        m = min(m, y.abs_precision + alpha.valuation)
+    if a is None:
+        m = min(m, alpha.abs_precision + y.valuation)
+    if m <= 0:
+        raise InsufficientPrecision("value has no known digits")
+    # exact inputs re-expand to m digits, the others give what they know
+    ky = m if y.exact is not None else min(m, y.abs_precision)
+    ka = m if a is not None else min(m, alpha.abs_precision)
+    return _make(p, 0, pow(1 + y.residue(ky), alpha.residue(ka), p ** m), m)

@@ -9,7 +9,6 @@ the pairs of blocks 0..j held no zero pair, and Y0 reads only block 0.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -27,6 +26,22 @@ PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
 _pack_message = struct.Struct(">QQQQ").pack
 _unpack_words = struct.Struct(">8I").unpack
 _SEED_MASK = 2 ** 64 - 1
+
+
+class _LazyHashlib:
+    """Imports ``hashlib`` at the first hash and puts it in its own place:
+    hashlib loads OpenSSL, about 3.5 MiB resident with CPython 3.11 on
+    Linux, which runs that draw nothing from Z_p do not need."""
+
+    def __getattr__(self, name: str):
+        import hashlib
+        globals()["hashlib"] = hashlib
+        return getattr(hashlib, name)
+
+
+# the estimators look up ``hashlib.sha256`` at call time, so a stand-in set
+# as ``haar.hashlib`` sees every hash
+hashlib = _LazyHashlib()
 
 
 def _check_prime_fits(p: int) -> None:

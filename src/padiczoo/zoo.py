@@ -35,6 +35,10 @@ class ClaimResult:
                 "details": self.details}
 
 
+# claim size parameters that must be positive; other integer sizes may be 0
+_SIZE_FLOORS = {"m_max": 1, "threshold": 1}
+
+
 @dataclass
 class ZooEntry:
     name: str
@@ -44,9 +48,15 @@ class ZooEntry:
     meta: dict = field(default_factory=dict)
 
     def run_claim(self, name: str, **kwargs) -> ClaimResult:
+        """Run a claim; an integer size below its floor (``seed`` has
+        none) raises ``DomainError``."""
         if name not in self.claims:
             raise DomainError(
                 f"unknown claim {name!r}; have {sorted(self.claims)}")
+        for key, value in kwargs.items():
+            low = _SIZE_FLOORS.get(key, 0)
+            if key != "seed" and isinstance(value, int) and value < low:
+                raise DomainError(f"{key} must be at least {low}")
         return self.claims[name](**kwargs)
 
 

@@ -143,6 +143,7 @@ def test_criterion_04_lip_scale():
 
 
 def test_criterion_05_binomial_powers():
+    t0 = time.monotonic()
     rng = random.Random(5)
     ok = True
     for p in (2, 3, 5):
@@ -170,7 +171,9 @@ def test_criterion_05_binomial_powers():
             if (fd - an).norm_upper() > h.abs_value():
                 ok = False
                 break
-    _report(5, "binomial round trip to 30 digits, finite diff within |h|", ok)
+    elapsed = time.monotonic() - t0
+    _report(5, "binomial round trip to 30 digits, finite diff within |h|",
+            ok and elapsed < 2.0, f"{elapsed:.2f}s")
 
 
 def test_criterion_06_composed_derivative_growth():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczoo.core import (
+    DEFAULT_PRECISION,
     DomainError,
     InsufficientPrecision,
     PadicNumber,
@@ -156,6 +157,9 @@ def test_pow_rejects_bad_domain():
     with pytest.raises(DomainError):
         pow_one_plus(PadicNumber.from_int(3, p),
                      PadicNumber.from_rational(1, 3, p))  # alpha not in Z_p
+    with pytest.raises(InsufficientPrecision):
+        # no digit of y is known, so y may lie outside pZ_p
+        pow_one_plus(PadicNumber.bounded_zero(p, 0), unit)
 
 
 def test_agrees_with_shared_precision():
@@ -182,6 +186,8 @@ def test_pow_exact_only_when_series_terminates():
     assert pow_one_plus(y, two, 16).exact == (1 + y.exact) ** 2
     assert pow_one_plus(PadicNumber.zero(p), seventh, 16).exact == 1
     # an integer exponent beyond the precision leaves terms out
+    assert pow_one_plus(y, PadicNumber.from_int(16, p), 16).exact is not None
+    assert pow_one_plus(y, PadicNumber.from_int(17, p), 16).exact is None
     assert pow_one_plus(y, PadicNumber.from_int(40, p), 16).exact is None
 
 
@@ -192,3 +198,119 @@ def test_digits_match_digit_reads(rng):
             x = PadicNumber.from_unit(p, v, rng.randrange(1, p ** n), v + n)
             assert x.digits == tuple(
                 x.digit(i) for i in range(x.valuation, x.abs_precision))
+
+
+# -- pow_one_plus against the binomial series ---------------------------------
+
+# pow_one_plus as it was before it took one modular power, kept verbatim as
+# the reference: slow, but built from PadicNumber arithmetic alone
+def _series_pow_one_plus(y: PadicNumber, alpha: PadicNumber,
+                         abs_precision: int = DEFAULT_PRECISION) -> PadicNumber:
+    """(1+y)**alpha for y in pZ_p and alpha in Z_p, via the binomial series.
+
+    Term i has norm at most p**-i, so ``abs_precision`` terms suffice.  The
+    running-product binomial coefficients divide by i!, which costs at most
+    ord_p(i!) <= i/(p-1) digits; the computation is padded accordingly.
+
+    The result is exact only when the series terminates within those terms:
+    y is exact zero, or alpha is an exact integer in [0, abs_precision].
+    Otherwise the partial sum is not the value, so the series runs on
+    truncated inputs and the result carries ``abs_precision`` digits.
+    """
+    if y.prime != alpha.prime:
+        raise DomainError("prime mismatch between base and exponent")
+    p = y.prime
+    if not y.is_zero_like and y.valuation < 1:
+        raise DomainError("base offset must lie in pZ_p")
+    if not alpha.is_zero_like and alpha.valuation < 0:
+        raise DomainError("exponent must lie in Z_p")
+    n = abs_precision
+    pad = n + n // (p - 1) + 4
+    y = y.at_precision(pad) if y.exact is not None else y
+    alpha = alpha.at_precision(pad) if alpha.exact is not None else alpha
+    a = alpha.exact
+    terminates = y.is_exact_zero or (
+        a is not None and a.denominator == 1 and 0 <= a <= n)
+    if not terminates:
+        y, alpha = y.truncated(pad), alpha.truncated(pad)
+
+    total = PadicNumber.one(p, pad)
+    coeff = PadicNumber.one(p, pad)
+    ypow = PadicNumber.one(p, pad)
+    for i in range(1, n + 1):
+        step = alpha - PadicNumber.from_int(i - 1, p, pad)
+        if step.is_exact_zero:
+            break  # alpha is the integer i-1: the series terminates
+        coeff = coeff * step / PadicNumber.from_int(i, p, pad)
+        ypow = ypow * y
+        if ypow.is_exact_zero:
+            break
+        total = total + coeff * ypow
+    return total.truncated(n) if total.exact is None else total.at_precision(n)
+
+
+def _draw_pow_input(data, p: int, v: int, kind: str, label: str) -> PadicNumber:
+    """An exact or truncated value of valuation v, or a bounded zero at
+    precision v or more."""
+    if kind == "bounded zero":
+        return PadicNumber.bounded_zero(
+            p, data.draw(st.integers(v, v + 70), label=label))
+
+    def prime_to_p(bound: int) -> int:
+        return (p * data.draw(st.integers(0, bound), label=label)
+                + data.draw(st.integers(1, p - 1), label=label))
+
+    unit = prime_to_p(p ** 80)
+    if kind == "truncated":
+        prec = data.draw(st.integers(v + 1, v + 70), label=label)
+        return PadicNumber.from_unit(p, v, unit, prec)
+    den = prime_to_p(10 ** 4)
+    sign = data.draw(st.sampled_from([1, -1]), label=label)
+    return PadicNumber.from_rational(sign * unit * p ** v, den, p)
+
+
+def _state(x: PadicNumber) -> tuple:
+    return x.valuation, x.unit, x.abs_precision, x.exact
+
+
+def _exact_refinement(x: PadicNumber, k: int) -> PadicNumber:
+    """An exact value that has every known digit of x."""
+    if x.exact is not None:
+        return x
+    a = x.abs_precision
+    return PadicNumber.from_int(x.residue(a) + k * x.prime ** a, x.prime,
+                                a + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 64), st.data())
+def test_pow_one_plus_matches_binomial_series(p, n, data):
+    kinds = ["exact", "truncated", "bounded zero"]
+    vy = data.draw(st.integers(1, 3), label="v(y)")
+    y = _draw_pow_input(data, p, vy, data.draw(st.sampled_from(kinds)), "y")
+    akind = data.draw(st.sampled_from(kinds + ["integer"]), label="alpha")
+    if akind == "integer":
+        alpha = PadicNumber.from_int(
+            data.draw(st.sampled_from([n, n + 1]) | st.integers(0, n + 1),
+                      label="a"), p)
+    else:
+        va = data.draw(st.integers(0, 2), label="v(alpha)")
+        alpha = _draw_pow_input(data, p, va, akind, "alpha")
+    got = pow_one_plus(y, alpha, n)
+    if got.exact is None:
+        with pytest.raises(InsufficientPrecision):
+            got.digit(got.abs_precision)
+    try:
+        want = _series_pow_one_plus(y, alpha, n)
+    except InsufficientPrecision:
+        # a step alpha - (i-1) met a bounded zero: every exact refinement
+        # of the inputs has the digits the modular power returned; the
+        # series runs wide enough to hold a refinement's leading digit
+        m = got.abs_precision
+        wide = max(n, y.abs_precision, alpha.abs_precision)
+        for k in (0, 1, p + 1):
+            ref = _series_pow_one_plus(_exact_refinement(y, k),
+                                       _exact_refinement(alpha, k), wide)
+            assert ref.residue(m) == got.residue(m), k
+        return
+    assert _state(got) == _state(want)

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import padiczoo
 
 from padiczoo.core import DomainError
 from padiczoo.haar import (
@@ -201,3 +207,18 @@ def test_E_prefix_hashes_blocks_on_demand(monkeypatch):
 def test_slln_refuses_no_samples():
     with pytest.raises(DomainError):
         slln_report(3, 4, 0, 0)
+
+
+def test_hashlib_loads_at_the_first_hash():
+    # hashlib loads OpenSSL; a run that draws nothing from Z_p skips it
+    code = ("import sys, padiczoo.cli as c\n"
+            "c.main(['--prime', '3', 'eval', 'thm16', 'p^-1'])\n"
+            "print('loaded', 'hashlib' in sys.modules)\n"
+            "c.main(['--prime', '3', 'haar', '--samples', '10', '--k', '2'])\n"
+            "print('loaded', 'hashlib' in sys.modules)\n")
+    src = str(Path(padiczoo.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = [line for line in out.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded False", "loaded True"]

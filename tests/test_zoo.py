@@ -164,7 +164,9 @@ def test_lip_claims_match_fraction_reference(p):
                for n, k, m, norm in rows if n >= 2)
     assert e.run_claim("n1-decay", n_limit=400).details == {
         "n_limit": 400, "max_product": float(max(products))}
-    for threshold in (0, 1, 100, 10 ** 6, 10 ** 40):
+    with pytest.raises(DomainError):
+        e.run_claim("lip2-unbounded", n_limit=400, threshold=0)
+    for threshold in (1, 100, 10 ** 6, 10 ** 40):
         crossing = next((n for n, k, m, norm in rows
                          if norm * Fraction(k) ** 2 > threshold), None)
         r = e.run_claim("lip2-unbounded", n_limit=400, threshold=threshold)
@@ -539,6 +541,31 @@ def test_sampled_claims_pass_for_seeds(p, entry, claim, size):
 def test_sampled_claims_fail_on_no_draws(entry, claim, size):
     e = build_entry(entry, 3)
     assert not e.run_claim(claim, **{k: 0 for k in size}).passed
+
+
+def test_claims_refuse_bad_sizes():
+    # every integer size at -1 raises DomainError; at 0 the claim fails,
+    # except m_max and threshold, which must be positive
+    p = 3
+    one = PadicNumber.one(p, 64)
+    shells = [thm16_fbeta(PadicNumber.from_int(b, p, 64), p, 64)
+              for b in (1, 4)]
+    poly = poly_combine(shells, [Monomial(one, (1, 1))], 64, search_depth=2)
+    sizes = []
+    for e in [build_entry(name, p) for name in ENTRY_NAMES] + [poly]:
+        for claim, fn in e.claims.items():
+            sizes += [(e, claim, key) for key, param
+                      in inspect.signature(fn).parameters.items()
+                      if key != "seed" and isinstance(param.default, int)]
+    assert len(sizes) == 22
+    for e, claim, key in sizes:
+        with pytest.raises(DomainError):
+            e.run_claim(claim, **{key: -1})
+        if key in ("m_max", "threshold"):
+            with pytest.raises(DomainError):
+                e.run_claim(claim, **{key: 0})
+        else:
+            assert not e.run_claim(claim, **{key: 0}).passed, (e.name, key)
 
 
 # --- refining the precision never contradicts -----------------------------------
