@@ -13,7 +13,7 @@ from .core import (
 from .families import IndexSet, generate_family, cell
 from .quotients import PadicFunction, WitnessTrace, phi_r, probe_derivative, \
     probe_strict, probe_strict_order2
-from .vanderput import VdPSeries, decompose, lip_criterion, n1_criterion
+from .vanderput import VdPSeries, criterion_products, decompose
 from .zoo import ENTRY_NAMES, ZooEntry, build_entry
 from .haar import MCReport, estimate_E_prefix_series, estimate_Y0, sample_zp
 
@@ -36,9 +36,8 @@ __all__ = [
     "probe_strict",
     "probe_strict_order2",
     "VdPSeries",
+    "criterion_products",
     "decompose",
-    "lip_criterion",
-    "n1_criterion",
     "ENTRY_NAMES",
     "ZooEntry",
     "build_entry",

@@ -12,6 +12,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Optional
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     Prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .vanderput import _as_float, power_str
+from .vanderput import power_str
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
 from .families import IndexSet
 
@@ -122,6 +123,13 @@ def _verify_haar(args, config: RunConfig) -> int:
                               "entry": "haar", "claim": args.claim,
                               "passed": passed, "reports": body}, indent=2))
     return EXIT_PASS if passed else EXIT_FAIL
+
+
+def _as_float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
 
 
 def cmd_table(args, config: RunConfig) -> int:

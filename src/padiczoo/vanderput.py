@@ -9,12 +9,11 @@ base-p digit of n.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber
@@ -80,9 +79,6 @@ class VdPSeries:
             self._cache[n] = self.coefficient_fn(n)
         return self._cache[n]
 
-    def norm(self, n: int) -> Fraction:
-        return self.coeff(n).norm_upper()
-
 
 def decompose(f: PadicFunction, p: int,
               precision: int = DEFAULT_PRECISION) -> VdPSeries:
@@ -108,48 +104,6 @@ def partial_sum(series: VdPSeries, n_max: int, x: PadicNumber) -> PadicNumber:
     return total
 
 
-@dataclass(frozen=True)
-class CriterionRow:
-    index: int
-    coeff_norm: Fraction
-    product: Fraction
-
-
-@dataclass
-class CriterionReport:
-    """Windowed maxima / running suprema of coefficient-norm products."""
-
-    kind: str  # "n1" or "lip"
-    alpha: Optional[Fraction]
-    prime: int
-    rows: list[CriterionRow]
-    window_maxima: list[tuple[int, int, Fraction]]  # (lo, hi, max) per window
-    running_sup: Fraction
-
-    def tends_to_zero(self) -> bool:
-        """Heuristic decay check on the dyadic window maxima."""
-        maxima = [m for _, _, m in self.window_maxima if m > 0]
-        if len(maxima) < 2:
-            return True
-        return maxima[-1] < maxima[0] and maxima[-1] <= min(maxima)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "coeff_norm", "coeff_norm_decimal", "product"])
-        for r in self.rows:
-            w.writerow([r.index, power_str(self.prime, r.coeff_norm),
-                        _as_float(r.coeff_norm), _as_float(r.product)])
-        return buf.getvalue()
-
-
-def _as_float(q: Fraction) -> float:
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf
-
-
 def power_str(p: int, norm: Fraction) -> str:
     """Render an exact power of p (or 0) as e.g. "2^-5"."""
     if norm == 0:
@@ -161,47 +115,32 @@ def power_str(p: int, norm: Fraction) -> str:
     return f"{p}^{k}"
 
 
-def _criterion(rows: Iterable[tuple[int, Fraction]], alpha: Optional[Fraction],
-               kind: str, p: int) -> CriterionReport:
-    out_rows: list[CriterionRow] = []
-    windows: dict[int, Fraction] = {}
-    sup = Fraction(0)
-    for n, norm in rows:
-        if alpha is None:
-            product = norm * n
-        elif alpha.denominator == 1:
-            product = norm * Fraction(n) ** int(alpha)
-        else:
-            product = Fraction(float(norm) * float(n) ** float(alpha))
-        out_rows.append(CriterionRow(n, norm, product))
-        sup = max(sup, product)
-        if n >= 1:
-            j = n.bit_length() - 1
-            windows[j] = max(windows.get(j, Fraction(0)), product)
-    maxima = [(2 ** j, 2 ** (j + 1) - 1, m) for j, m in sorted(windows.items())]
-    return CriterionReport(kind, alpha, p, out_rows, maxima, sup)
+def criterion_products(rows: Iterable[tuple[int, int]], alpha: int,
+                       p: int) -> Iterator[tuple[int, int]]:
+    """The products |a_k| * k**alpha of rows (k, m) with |a_k| = p**-m, in
+    order and exactly, as integer pairs (k**alpha, p**m) (for m < 0, as
+    (k**alpha * p**-m, 1)).
+
+    |a_k| * k tending to 0 supports strict differentiability with zero
+    derivative; a bounded sup of |a_k| * k**alpha characterizes the
+    Lipschitz class of order alpha.  The pairs stream, so a caller can stop
+    at the row that settles its question.  alpha must be an integer >= 1.
+    """
+    if not isinstance(alpha, numbers.Rational) or alpha.denominator != 1 \
+            or alpha < 1:
+        raise DomainError("alpha must be an integer >= 1")
+    a = int(alpha)
+    return ((k ** a * p ** max(0, -m), p ** max(0, m)) for k, m in rows)
 
 
-def n1_criterion(rows: Iterable[tuple[int, Fraction]],
-                 p: int) -> CriterionReport:
-    """Dyadic window maxima of |a_n| * n; decay supports zero-derivative
-    strict differentiability."""
-    return _criterion(rows, None, "n1", p)
-
-
-def lip_criterion(rows: Iterable[tuple[int, Fraction]], alpha: Fraction,
-                  p: int) -> CriterionReport:
-    """Running supremum of |a_n| * n**alpha; boundedness characterizes a
-    Lipschitz class of order alpha."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return _criterion(rows, Fraction(alpha), "lip", p)
-
-
-def series_rows(series: VdPSeries, n_max: int) -> Iterable[tuple[int, Fraction]]:
-    """(n, |a_n|) rows of a coefficient stream, for the criteria above."""
+def series_rows(series: VdPSeries, n_max: int) -> Iterator[tuple[int, int]]:
+    """Rows (n, m) with |a_n| <= p**-m for n <= n_max, for
+    ``criterion_products``: m is the valuation of a_n, or the precision of a
+    bounded zero.  Exact zeros have product 0 and are left out."""
     for n in range(n_max + 1):
-        yield n, series.norm(n)
+        c = series.coeff(n)
+        if not c.is_exact_zero:
+            yield n, c.valuation
 
 
 def schedule_exponent(k: int, p: int) -> int:

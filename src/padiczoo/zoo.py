@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import count, takewhile, tee
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber, pow_one_plus
 from .families import IndexSet, CellEnumerator
-from .quotients import PadicFunction, probe_derivative, probe_strict, \
-    probe_strict_order2
-from .vanderput import ball_exponent, schedule_exponent
+from .quotients import PadicFunction, TraceRow, WitnessTrace, \
+    probe_derivative, probe_strict, probe_strict_order2
+from .vanderput import ball_exponent, criterion_products, schedule_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +40,21 @@ class ClaimResult:
 _SIZE_FLOORS = {"m_max": 1, "threshold": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZooEntry:
+    """A gallery function on Q_p or Z_p for one prime, with its closed-form
+    derivative when one is known and its named claims.  ``beta`` is the
+    exponent of the analytic shell branches, for the entries that have
+    them; ``poly_combine`` composes the derivative from it.  ``build_entry``
+    names an entry by its registry key, a builder called directly after
+    itself."""
+
     name: str
+    prime: int
     function: PadicFunction
     derivative: Optional[PadicFunction] = None
+    beta: Optional[PadicNumber] = None
     claims: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def run_claim(self, name: str, **kwargs) -> ClaimResult:
         """Run a claim; an integer size below its floor (``seed`` has
@@ -79,6 +88,33 @@ def _congruent(x: PadicNumber, c: PadicNumber, k: int) -> bool:
         f"congruence mod p^{k} needs more digits than are known")
 
 
+def _zero_derivative(p: int, precision: int, domain_tag: str) -> PadicFunction:
+    return PadicFunction(lambda x: PadicNumber.zero(p, precision),
+                         domain_tag=domain_tag)
+
+
+def _upto(indices: Iterable[int], limit: int) -> Iterator[int]:
+    """The indices of an increasing stream up to ``limit``."""
+    return takewhile(lambda n: n <= limit, indices)
+
+
+def _square_index(abs_precision: int) -> int:
+    """The least n >= 1 with n**2 >= abs_precision: a point known only to
+    vanish mod p**abs_precision can lie on the branches n**2 from there on."""
+    return math.isqrt(max(0, abs_precision - 1)) + 1
+
+
+def _probe_claim(claim: str, trace: WitnessTrace,
+                 row_ok: Callable[[TraceRow], bool],
+                 shown: Optional[dict] = None) -> ClaimResult:
+    """Passes when the trace has rows and each satisfies ``row_ok``.  The
+    details are the step count, then ``shown`` (the verdict by default)."""
+    passed = bool(trace.rows) and all(row_ok(r) for r in trace.rows)
+    if shown is None:
+        shown = {"verdict": trace.verdict.kind}
+    return ClaimResult(claim, passed, {"steps": len(trace.rows), **shown})
+
+
 # ---------------------------------------------------------------------------
 # locally constant step on the disjoint balls inside spheres |x| = p^-n
 
@@ -104,64 +140,40 @@ def thm34i_fN(N: IndexSet, p: int,
             return PadicNumber.from_rational(p ** (2 * n), 1, p, 2 * precision)
         return PadicNumber.zero(p, 2 * precision)
 
-    def derivative(x: PadicNumber) -> PadicNumber:
-        # 0 at the origin too, via |f(x)/x| = p^-n -> 0
-        return PadicNumber.zero(p, precision)
-
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
-    def pair_witness(cell: CellEnumerator, limit: int = 40) -> Iterator:
-        for n in cell:
-            if n > limit:
-                return
+    def pair_witness(limit: int) -> Iterator:
+        for n in _upto(CellEnumerator([N], [1]), limit):
             w = max(precision, 2 * n + 4)
             x = PadicNumber.from_rational(p ** n, 1, p, w)
             y = PadicNumber.from_rational(p ** n - p ** (2 * n), 1, p, w)
             yield n, (x, y)
 
-    def seq_witness(cell: CellEnumerator, limit: int = 40) -> Iterator:
-        for n in cell:
-            if n > limit:
-                return
+    def seq_witness(limit: int) -> Iterator:
+        for n in _upto(CellEnumerator([N], [1]), limit):
             w = max(precision, 2 * n + 4)
             yield n, PadicNumber.from_rational(p ** n, 1, p, w)
 
-    entry = ZooEntry(
-        name="thm34i",
-        function=fn,
-        derivative=PadicFunction(derivative, domain_tag="Qp"),
-        meta={"prime": p, "index_set": N, "precision": precision},
-    )
-
     def claim_strict_fail(limit: int = 40) -> ClaimResult:
-        cell = CellEnumerator([N], [1])
-        trace = probe_strict(fn, pair_witness(cell, limit), steps=limit)
+        trace = probe_strict(fn, pair_witness(limit), steps=limit)
         one = PadicNumber.one(p, precision)
-        ok = bool(trace.rows) and all(
-            r.quotient.agrees_with(one) for r in trace.rows)
-        return ClaimResult("strict-fail", ok, {
-            "steps": len(trace.rows),
-            "verdict": trace.verdict.kind,
-        })
+        return _probe_claim("strict-fail", trace,
+                            lambda r: r.quotient.agrees_with(one))
 
     def claim_derivative_at_zero(limit: int = 40) -> ClaimResult:
-        cell = CellEnumerator([N], [1])
-        trace = probe_derivative(
-            fn, PadicNumber.zero(p, precision), seq_witness(cell, limit),
-            steps=limit)
-        ok = bool(trace.rows) and all(
-            r.norm == Fraction(p) ** (-r.index) for r in trace.rows)
-        ok = ok and trace.verdict.kind == "converges_to"
-        return ClaimResult("derivative-at-zero", ok, {
-            "steps": len(trace.rows),
-            "verdict": trace.verdict.kind,
-        })
+        trace = probe_derivative(fn, PadicNumber.zero(p, precision),
+                                 seq_witness(limit), steps=limit)
+        converges = trace.verdict.kind == "converges_to"
+        return _probe_claim(
+            "derivative-at-zero", trace,
+            lambda r: converges and r.norm == Fraction(p) ** (-r.index))
 
-    entry.claims = {
-        "strict-fail": claim_strict_fail,
-        "derivative-at-zero": claim_derivative_at_zero,
-    }
-    return entry
+    # the derivative is 0 at the origin too, via |f(x)/x| = p^-n -> 0
+    return ZooEntry(thm34i_fN.__name__, p, fn,
+                    _zero_derivative(p, precision, "Qp"), claims={
+                        "strict-fail": claim_strict_fail,
+                        "derivative-at-zero": claim_derivative_at_zero,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +212,15 @@ def thm34ii_gN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
-    def derivative(x: PadicNumber) -> PadicNumber:
-        return PadicNumber.zero(p, precision)
-
-    def triple_witness(cell: CellEnumerator, limit: int = 40) -> Iterator:
-        for n in cell:
-            if n > limit:
-                return
+    def triple_witness(limit: int) -> Iterator:
+        cell = CellEnumerator([N], [1])
+        for n in _upto(cell, limit):
             n_plus = cell.next_after(n)
             w = max(precision, 2 * n_plus + 4)
             x = PadicNumber.from_rational(p ** n, 1, p, w)
             y = PadicNumber.zero(p, w)
             z = PadicNumber.from_rational(p ** n + p ** n_plus, 1, p, w)
             yield n, (x, y, z)
-
-    entry = ZooEntry(
-        name="thm34ii",
-        function=fn,
-        derivative=PadicFunction(derivative, domain_tag="Qp"),
-        meta={"prime": p, "index_set": N, "precision": precision},
-    )
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
         import random
@@ -243,20 +244,15 @@ def thm34ii_gN(N: IndexSet, p: int,
                            {"pairs": pairs, "worst_ratio": float(worst)})
 
     def claim_order2_witness(limit: int = 40) -> ClaimResult:
-        cell = CellEnumerator([N], [1])
-        trace = probe_strict_order2(fn, triple_witness(cell, limit),
-                                    steps=limit)
-        ok = bool(trace.rows) and all(r.norm == 1 for r in trace.rows)
-        return ClaimResult("order2-witness", ok, {
-            "steps": len(trace.rows),
-            "norms": [str(r.norm) for r in trace.rows[:5]],
-        })
+        trace = probe_strict_order2(fn, triple_witness(limit), steps=limit)
+        return _probe_claim("order2-witness", trace, lambda r: r.norm == 1,
+                            {"norms": [str(r.norm) for r in trace.rows[:5]]})
 
-    entry.claims = {
-        "contraction": claim_contraction,
-        "order2-witness": claim_order2_witness,
-    }
-    return entry
+    return ZooEntry(thm34ii_gN.__name__, p, fn,
+                    _zero_derivative(p, precision, "Qp"), claims={
+                        "contraction": claim_contraction,
+                        "order2-witness": claim_order2_witness,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -361,50 +357,45 @@ def lip_fN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
 
-    def derivative(x: PadicNumber) -> PadicNumber:
-        return PadicNumber.zero(p, precision)
-
-    entry = ZooEntry(
-        name="lip_fN",
-        function=fn,
-        derivative=PadicFunction(derivative, domain_tag="Zp"),
-        meta={"prime": p, "index_set": N, "precision": precision,
-              "balls": balls},
-    )
+    def products(n_limit: int, alpha: int) -> Iterator[tuple[int, tuple]]:
+        """(n, |a_sigma(n)| sigma(n)**alpha as an integer pair) for the
+        members n of N up to n_limit."""
+        rows, keys = tee((n, k, m) for n, k, m, member
+                         in _lip_exponent_rows(N, p, n_limit) if member)
+        return zip((n for n, _, _ in keys), criterion_products(
+            ((k, m) for _, k, m in rows), alpha, p))
 
     def claim_n1_decay(n_limit: int = 10_000) -> ClaimResult:
-        # the products k / p**m are compared exactly, as integer
+        # the products a / q are compared exactly, as integer
         # cross-products, with the bound p / log n at the float log n
-        worst_k, worst_q, checked = 0, 1, 0
-        for n, k, m, member in _lip_exponent_rows(N, p, n_limit):
-            if n < 2 or not member:
+        worst_a, worst_q, checked = 0, 1, 0
+        for n, (a, q) in products(n_limit, 1):
+            if n < 2:
                 continue
             checked += 1
-            q = p ** m
             log_num, log_den = math.log(n).as_integer_ratio()
-            if k * log_num > p * q * log_den:
+            if a * log_num > p * q * log_den:
                 return ClaimResult("n1-decay", False, {"n": n})
-            if k * worst_q > worst_k * q:
-                worst_k, worst_q = k, q
+            if a * worst_q > worst_a * q:
+                worst_a, worst_q = a, q
         return ClaimResult("n1-decay", checked > 0, {
-            "n_limit": n_limit, "max_product": worst_k / worst_q})
+            "n_limit": n_limit, "max_product": worst_a / worst_q})
 
     def claim_lip2_unbounded(n_limit: int = 10_000,
                              threshold: int = 100) -> ClaimResult:
-        # the running sup of k**2 / p**m first exceeds the threshold where
-        # a single term does
-        first_cross = next((n for n, k, m, member
-                            in _lip_exponent_rows(N, p, n_limit)
-                            if member and k * k > threshold * p ** m), None)
+        # the running sup of the products first exceeds the threshold
+        # where a single one does
+        first_cross = next((n for n, (a, q) in products(n_limit, 2)
+                            if a > threshold * q), None)
         return ClaimResult("lip2-unbounded", first_cross is not None, {
             "n_limit": n_limit, "threshold": threshold,
             "first_crossing": first_cross})
 
-    entry.claims = {
-        "n1-decay": claim_n1_decay,
-        "lip2-unbounded": claim_lip2_unbounded,
-    }
-    return entry
+    return ZooEntry(lip_fN.__name__, p, fn,
+                    _zero_derivative(p, precision, "Zp"), claims={
+                        "n1-decay": claim_n1_decay,
+                        "lip2-unbounded": claim_lip2_unbounded,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +453,10 @@ def thm16_fbeta(beta: PadicNumber, p: int,
     fn = PadicFunction(evaluate, domain_tag="Qp")
     dfn = PadicFunction(derivative, domain_tag="Qp")
 
-    def shell_witness(limit: int) -> Iterator:
-        for n in range(1, limit + 1):
-            yield n, PadicNumber.from_rational(1, p ** n, p, precision)
-
-    entry = ZooEntry(
-        name="thm16",
-        function=fn,
-        derivative=dfn,
-        meta={"prime": p, "beta": beta, "precision": precision},
-    )
-
     def claim_unbounded_derivative(limit: int = 20) -> ClaimResult:
         beta_norm = beta.abs_value()
-        for n, x in shell_witness(limit):
+        for n in range(1, limit + 1):
+            x = PadicNumber.from_rational(1, p ** n, p, precision)
             want = beta_norm * Fraction(p) ** n
             got = derivative(x).abs_value()
             if got != want:
@@ -493,11 +474,10 @@ def thm16_fbeta(beta: PadicNumber, p: int,
                 return ClaimResult("zero-on-pzp", False, {"y": y.render()})
         return ClaimResult("zero-on-pzp", samples >= 1, {"samples": samples})
 
-    entry.claims = {
+    return ZooEntry(thm16_fbeta.__name__, p, fn, dfn, beta, claims={
         "unbounded-derivative": claim_unbounded_derivative,
         "zero-on-pzp": claim_zero_on_pzp,
-    }
-    return entry
+    })
 
 
 def check_nonconstant_combination(gammas: Sequence[PadicNumber],
@@ -525,20 +505,6 @@ def check_nonconstant_combination(gammas: Sequence[PadicNumber],
         if not (val - base).is_zero_like:
             return y
     return None
-
-
-def find_nonvanishing_offset(gammas: Sequence[PadicNumber],
-                             alphas: Sequence[PadicNumber],
-                             search_depth: int,
-                             precision: int = DEFAULT_PRECISION
-                             ) -> Optional[PadicNumber]:
-    """y in pZ_p with sum gamma_i (1+y)**alpha_i certified nonzero."""
-    p = gammas[0].prime
-    zero = PadicNumber.zero(p, precision)
-    if not _sum_of_powers(gammas, alphas, zero, precision).is_zero_like:
-        return zero
-    return check_nonconstant_combination(gammas, alphas, search_depth,
-                                         precision)
 
 
 def _sum_of_powers(gammas, alphas, y: PadicNumber,
@@ -597,7 +563,7 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
         if m.exponents in seen:
             raise DomainError("exponent tuples must be pairwise distinct")
         seen.add(m.exponents)
-    p = entries[0].meta["prime"]
+    p = entries[0].prime
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         vals = [e.function(x) for e in entries]
@@ -609,20 +575,19 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
             total = total + term
         return total
 
-    fn = PadicFunction(evaluate, domain_tag="Qp")
-    entry = ZooEntry(name="poly", function=fn,
-                     meta={"prime": p, "precision": precision,
-                           "monomials": list(monomials)})
-
-    betas = [e.meta.get("beta") for e in entries]
+    derivative, claims = None, {}
+    betas = [e.beta for e in entries]
     if all(b is not None for b in betas):
-        _attach_shell_derivative(entry, entries, monomials, betas, p,
-                                 precision, search_depth)
-    return entry
+        derivative, claims = _shell_derivative(monomials, betas, p,
+                                               precision, search_depth)
+    return ZooEntry("poly", p, PadicFunction(evaluate, domain_tag="Qp"),
+                    derivative, claims=claims)
 
 
-def _attach_shell_derivative(entry, entries, monomials, betas, p,
-                             precision, search_depth) -> None:
+def _shell_derivative(monomials, betas, p, precision,
+                      search_depth) -> tuple[PadicFunction, dict]:
+    """The closed-form derivative of a polynomial in shell entries with
+    exponents ``betas``, and its derivative-norm-growth claim."""
     one = PadicNumber.one(p, precision)
     agg = []
     for m in monomials:
@@ -652,9 +617,6 @@ def _attach_shell_derivative(entry, entries, monomials, betas, p,
                 * pow_one_plus(y, beta_r - one, precision)
         return total
 
-    entry.derivative = PadicFunction(derivative, domain_tag="Qp")
-    entry.meta["aggregate_exponents"] = agg
-
     # leading degree group for the norm-growth claim
     degrees = sorted({m.degree for m in monomials}, reverse=True)
     groups = {d: [(m, b) for m, b in zip(monomials, agg) if m.degree == d]
@@ -665,7 +627,10 @@ def _attach_shell_derivative(entry, entries, monomials, betas, p,
         lead = groups[k1]
         gammas = [m.coefficient * b for m, b in lead]
         alphas = [b - one for m, b in lead]
-        y1 = find_nonvanishing_offset(gammas, alphas, search_depth, precision)
+        y1 = PadicNumber.zero(p, precision)
+        if _sum_of_powers(gammas, alphas, y1, precision).is_zero_like:
+            y1 = check_nonconstant_combination(gammas, alphas, search_depth,
+                                               precision)
         if y1 is None:
             return ClaimResult("derivative-norm-growth", False,
                                {"reason": "no nonvanishing witness found"})
@@ -693,7 +658,8 @@ def _attach_shell_derivative(entry, entries, monomials, betas, p,
             "n0": n0, "n_max": n_max, "leading_degree": k1,
             "constant_norm": float(c), "witness": y1.render()})
 
-    entry.claims["derivative-norm-growth"] = claim_derivative_norm_growth
+    return PadicFunction(derivative, domain_tag="Qp"), {
+        "derivative-norm-growth": claim_derivative_norm_growth}
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +673,9 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         raise DomainError("exponent must be a nonzero p-adic integer")
     one = PadicNumber.one(p, precision)
 
-    def branch(x: PadicNumber) -> Optional[tuple]:
-        d = _expand(x, precision) - a
-        if d.is_exact_zero:
-            return None
-        if d.is_bounded_zero:
-            # x could be in a ball with n^2 >= abs_precision only
-            n_min = math.isqrt(max(0, d.abs_precision - 1)) + 1
-            raise InsufficientPrecision(f"value bounded by p^-{n_min}")
+    def branch(d: PadicNumber) -> Optional[tuple]:
+        """(n, y) for x = a + d on the ball around a + p**(n^2), where
+        p**-(n^2) d = 1 + y; None off the balls.  d is nonzero."""
         v = d.valuation
         n = math.isqrt(v) if v >= 1 else 0
         if n < 1 or n * n != v or d.digit(v) != 1:
@@ -723,12 +684,11 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         return n, d / y - one
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        try:
-            b = branch(x)
-        except InsufficientPrecision:
-            d = x - a
-            n_min = math.isqrt(max(0, d.abs_precision - 1)) + 1
-            return PadicNumber.bounded_zero(p, n_min)
+        d = _expand(x, precision) - a
+        if d.is_bounded_zero:
+            # x could be in a ball with n^2 >= abs_precision only
+            return PadicNumber.bounded_zero(p, _square_index(d.abs_precision))
+        b = None if d.is_exact_zero else branch(d)
         if b is None:
             return PadicNumber.zero(p, precision)
         n, y = b
@@ -736,23 +696,18 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
             * pow_one_plus(y, beta, precision)
 
     def derivative(x: PadicNumber) -> PadicNumber:
-        b = branch(x)
+        d = _expand(x, precision) - a
+        if d.is_exact_zero:
+            raise DomainError("not differentiable at the pinch point")
+        if d.is_bounded_zero:
+            raise InsufficientPrecision(
+                f"value bounded by p^-{_square_index(d.abs_precision)}")
+        b = branch(d)
         if b is None:
-            d = x - a
-            if d.is_exact_zero:
-                raise DomainError("not differentiable at the pinch point")
             return PadicNumber.zero(p, precision)
         n, y = b
         scale = PadicNumber.from_rational(p ** n, p ** (n * n), p, precision)
         return scale * beta * pow_one_plus(y, beta - one, precision)
-
-    fn = PadicFunction(evaluate, domain_tag="Qp")
-    entry = ZooEntry(
-        name="cor15_g",
-        function=fn,
-        derivative=PadicFunction(derivative, domain_tag="Qp"),
-        meta={"prime": p, "beta": beta, "center": a, "precision": precision},
-    )
 
     def claim_values_on_centers(limit: int = 6) -> ClaimResult:
         for n in range(1, limit + 1):
@@ -763,8 +718,10 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
                 return ClaimResult("center-values", False, {"n": n})
         return ClaimResult("center-values", limit >= 1, {"limit": limit})
 
-    entry.claims = {"center-values": claim_values_on_centers}
-    return entry
+    return ZooEntry(cor15_gbeta.__name__, p,
+                    PadicFunction(evaluate, domain_tag="Qp"),
+                    PadicFunction(derivative, domain_tag="Qp"), beta,
+                    claims={"center-values": claim_values_on_centers})
 
 
 def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
@@ -778,23 +735,11 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
     def evaluate(x: PadicNumber) -> PadicNumber:
         return f_entry.function(x) + g_entry.function(x)
 
-    fn = PadicFunction(evaluate, domain_tag="Qp")
-    entry = ZooEntry(
-        name="cor15",
-        function=fn,
-        meta={"prime": p, "beta": beta, "center": a, "precision": precision,
-              "parts": (f_entry, g_entry)},
-    )
-
-    def quotient_witness(limit: int = 6) -> Iterator:
+    def claim_quotient_growth(limit: int = 6) -> ClaimResult:
+        fa = evaluate(a)
         for n in range(1, limit + 1):
             w = max(precision, n * n + n + 8)
             x = a + PadicNumber.from_int(p ** (n * n) + p ** (n * n + 1), p, w)
-            yield n, x
-
-    def claim_quotient_growth(limit: int = 6) -> ClaimResult:
-        fa = evaluate(a)
-        for n, x in quotient_witness(limit):
             q = (evaluate(x) - fa) / (x - a)
             want = Fraction(p) ** (n * n - n)
             if q.abs_value() != want:
@@ -804,6 +749,7 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
 
     def claim_continuity_at_center(limit: int = 5) -> ClaimResult:
         # |x - a| < p^{1-n^2} must force |F(x)| <= p^-n
+        fa = evaluate(a)
         checked = 0
         for n in range(1, limit + 1):
             for ball_n in range(n, n + 3):
@@ -813,19 +759,19 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                 if (x - a).abs_value() >= Fraction(p) ** (1 - n * n):
                     continue
                 checked += 1
-                val = evaluate(x) - fa_cache
+                val = evaluate(x) - fa
                 if val.norm_upper() > Fraction(p) ** (-n):
                     return ClaimResult("continuity-at-center", False,
                                        {"n": n, "ball_n": ball_n})
         return ClaimResult("continuity-at-center", checked > 0,
                            {"limit": limit})
 
-    fa_cache = evaluate(a)
-    entry.claims = {
-        "quotient-growth": claim_quotient_growth,
-        "continuity-at-center": claim_continuity_at_center,
-    }
-    return entry
+    return ZooEntry(cor15_Fbeta.__name__, p,
+                    PadicFunction(evaluate, domain_tag="Qp"), beta=beta,
+                    claims={
+                        "quotient-growth": claim_quotient_growth,
+                        "continuity-at-center": claim_continuity_at_center,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +791,7 @@ def prop26_fN(N: Optional[IndexSet], p: int,
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
         if x.is_bounded_zero:
-            n_min = math.isqrt(max(0, x.abs_precision - 1)) + 1
-            return PadicNumber.bounded_zero(p, n_min)
+            return PadicNumber.bounded_zero(p, _square_index(x.abs_precision))
         v = x.valuation
         n = math.isqrt(v) if v >= 1 else 0
         if n >= 1 and n * n == v and member(n):
@@ -858,22 +803,10 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             raise DomainError("not differentiable at 0")
         return PadicNumber.zero(p, precision)
 
-    fn = PadicFunction(evaluate, domain_tag="Qp")
-    name = "prop26_g" if N is None else "prop26"
-    entry = ZooEntry(
-        name=name,
-        function=fn,
-        derivative=PadicFunction(derivative, domain_tag="Qp"),
-        meta={"prime": p, "index_set": N, "precision": precision},
-    )
-
     def claim_ratio_growth(limit: int = 10,
                            alphas: Sequence[int] = (1, 2)) -> ClaimResult:
-        source = N.members(1) if N is not None else iter(range(1, limit + 1))
         checked = 0
-        for n in source:
-            if n > limit or checked >= limit:
-                break
+        for n in _upto(N.members(1) if N is not None else count(1), limit):
             x = PadicNumber.from_int(p ** (n * n), p,
                                      max(precision, n * n + 8))
             fx = evaluate(x).abs_value()
@@ -901,11 +834,12 @@ def prop26_fN(N: Optional[IndexSet], p: int,
         return ClaimResult("derivative-zero", samples >= 1,
                            {"samples": samples})
 
-    entry.claims = {
-        "ratio-growth": claim_ratio_growth,
-        "derivative-zero": claim_derivative_zero,
-    }
-    return entry
+    return ZooEntry(prop26_fN.__name__, p,
+                    PadicFunction(evaluate, domain_tag="Qp"),
+                    PadicFunction(derivative, domain_tag="Qp"), claims={
+                        "ratio-growth": claim_ratio_growth,
+                        "derivative-zero": claim_derivative_zero,
+                    })
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +893,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return PadicNumber.zero(p, precision)
         return PadicNumber.from_int(x.residue(2 * i), p, precision)
 
-    fn = PadicFunction(evaluate, domain_tag="Zp")
-    entry = ZooEntry(name="thm2_f", function=fn,
-                     meta={"prime": p, "precision": precision})
-
     def deviation_witness(x: PadicNumber, limit: int) -> Iterator:
         """Perturbations of an all-pairs-nonzero point that zero out one
         pair and restart two digits later."""
@@ -976,6 +906,11 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
 
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
                                  seed: int = 0) -> ClaimResult:
+        # the offsets y - x are drawn below p**(2 m_max + 2)
+        if 2 * m_max + 2 > precision:
+            raise InsufficientPrecision(
+                f"continuity modulus up to m = {m_max} needs "
+                f"{2 * m_max + 2} digits")
         import random
         rng = random.Random(seed)
         checked = 0
@@ -996,6 +931,9 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
                            {"pairs": pairs, "m_max": m_max})
 
     def claim_deviation(steps: int = 10, seed: int = 0) -> ClaimResult:
+        # the first step needs 13 digits, and the point has 2*(precision//2)
+        if precision < 14:
+            raise InsufficientPrecision("deviation needs 14 digits")
         import random
         rng = random.Random(seed)
         x = _random_no_zero_pair(rng, p, precision)
@@ -1009,11 +947,11 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             count += 1
         return ClaimResult("deviation", count > 0, {"steps": count})
 
-    entry.claims = {
-        "continuity-modulus": claim_continuity_modulus,
-        "deviation": claim_deviation,
-    }
-    return entry
+    return ZooEntry(thm2_f.__name__, p,
+                    PadicFunction(evaluate, domain_tag="Zp"), claims={
+                        "continuity-modulus": claim_continuity_modulus,
+                        "deviation": claim_deviation,
+                    })
 
 
 def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
@@ -1021,8 +959,7 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
     """Rescaled copies p**n f(x') on the disjoint balls p**n + p**(n+1) Z_p
     (restricted to n in N when given); zero elsewhere.  Continuous, with
     quotient norms identically 1 along the canonical sequence at 0."""
-    f_entry = thm2_f(p, precision)
-    f = f_entry.function
+    f = thm2_f(p, precision).function
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
@@ -1041,16 +978,9 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
         return PadicNumber.from_int(p ** n, p, precision + n) * f(xprime)
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
-    name = "thm2_g" if N is None else "thm2_fN"
-    entry = ZooEntry(name=name, function=fn,
-                     meta={"prime": p, "precision": precision,
-                           "index_set": N})
 
-    def zero_witness(limit: int = 40) -> Iterator:
-        source = N.members(1) if N is not None else iter(range(1, limit + 1))
-        for n in source:
-            if n > limit:
-                return
+    def zero_witness(limit: int) -> Iterator:
+        for n in _upto(N.members(1) if N is not None else count(1), limit):
             w = max(precision, n + 16)
             # p^n (1 + p + p^2 + ...) = p^n / (1 - p)
             yield n, PadicNumber.from_rational(p ** n, 1 - p, p, w)
@@ -1058,13 +988,11 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
     def claim_not_differentiable_at_zero(limit: int = 40) -> ClaimResult:
         zero = PadicNumber.zero(p, precision)
         trace = probe_derivative(fn, zero, zero_witness(limit), steps=limit)
-        ok = bool(trace.rows) and all(r.norm == 1 for r in trace.rows)
-        return ClaimResult("quotient-norm-one", ok,
-                           {"steps": len(trace.rows),
-                            "verdict": trace.verdict.kind})
+        return _probe_claim("quotient-norm-one", trace,
+                            lambda r: r.norm == 1)
 
-    entry.claims = {"quotient-norm-one": claim_not_differentiable_at_zero}
-    return entry
+    return ZooEntry(thm2_g.__name__, p, fn, claims={
+        "quotient-norm-one": claim_not_differentiable_at_zero})
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1004,7 @@ def linear_combination(entries: Sequence[ZooEntry],
     """Pointwise sum of coeff_i * entry_i."""
     if len(entries) != len(coeffs):
         raise DomainError("need one coefficient per entry")
-    p = entries[0].meta["prime"]
+    p = entries[0].prime
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         total = PadicNumber.zero(p, precision)
@@ -1084,12 +1012,8 @@ def linear_combination(entries: Sequence[ZooEntry],
             total = total + c * e.function(x)
         return total
 
-    return ZooEntry(
-        name="combination",
-        function=PadicFunction(evaluate,
-                               domain_tag=entries[0].function.domain_tag),
-        meta={"prime": p, "precision": precision, "coefficients": coeffs},
-    )
+    return ZooEntry("combination", p, PadicFunction(
+        evaluate, domain_tag=entries[0].function.domain_tag))
 
 
 # Each sampler draws a whole residue with one randrange call: the digits of
@@ -1126,6 +1050,27 @@ def _random_no_zero_pair(rng, p: int, precision: int) -> PadicNumber:
 # ---------------------------------------------------------------------------
 # registry
 
+# Each registered entry by name, built from the prime, the precision, the
+# index sets N (from 1) and N0 (from 0), and the exponent beta.
+_REGISTRY = {
+    "thm34i": lambda p, n, N, N0, beta: thm34i_fN(N, p, n),
+    "thm34ii": lambda p, n, N, N0, beta: thm34ii_gN(N0, p, n),
+    "lip_fN": lambda p, n, N, N0, beta: lip_fN(N0, p, n),
+    "thm16": lambda p, n, N, N0, beta: thm16_fbeta(beta, p, n),
+    "cor15": lambda p, n, N, N0, beta: cor15_Fbeta(
+        beta, PadicNumber.zero(p, n), p, n),
+    "cor15_g": lambda p, n, N, N0, beta: cor15_gbeta(
+        beta, PadicNumber.zero(p, n), p, n),
+    "prop26": lambda p, n, N, N0, beta: prop26_fN(N, p, n),
+    "prop26_g": lambda p, n, N, N0, beta: prop26_fN(None, p, n),
+    "thm2_f": lambda p, n, N, N0, beta: thm2_f(p, n),
+    "thm2_g": lambda p, n, N, N0, beta: thm2_g(p, n),
+    "thm2_fN": lambda p, n, N, N0, beta: thm2_g(p, n, N=N),
+}
+
+ENTRY_NAMES = tuple(_REGISTRY)
+
+
 def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
                 family_size: int = 3, member_bit: int = 0,
                 beta: Optional[PadicNumber] = None) -> ZooEntry:
@@ -1134,25 +1079,6 @@ def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
     N0 = IndexSet(family_size, member_bit, 0)
     if beta is None:
         beta = PadicNumber.from_int(1 + p, p, precision)
-    builders = {
-        "thm34i": lambda: thm34i_fN(N, p, precision),
-        "thm34ii": lambda: thm34ii_gN(N0, p, precision),
-        "lip_fN": lambda: lip_fN(N0, p, precision),
-        "thm16": lambda: thm16_fbeta(beta, p, precision),
-        "cor15": lambda: cor15_Fbeta(beta, PadicNumber.zero(p, precision),
-                                     p, precision),
-        "cor15_g": lambda: cor15_gbeta(beta, PadicNumber.zero(p, precision),
-                                       p, precision),
-        "prop26": lambda: prop26_fN(N, p, precision),
-        "prop26_g": lambda: prop26_fN(None, p, precision),
-        "thm2_f": lambda: thm2_f(p, precision),
-        "thm2_g": lambda: thm2_g(p, precision),
-        "thm2_fN": lambda: thm2_g(p, precision, N=N),
-    }
-    if name not in builders:
-        raise DomainError(f"unknown entry {name!r}; have {sorted(builders)}")
-    return builders[name]()
-
-
-ENTRY_NAMES = ("thm34i", "thm34ii", "lip_fN", "thm16", "cor15", "cor15_g",
-               "prop26", "prop26_g", "thm2_f", "thm2_g", "thm2_fN")
+    if name not in _REGISTRY:
+        raise DomainError(f"unknown entry {name!r}; have {sorted(_REGISTRY)}")
+    return replace(_REGISTRY[name](p, precision, N, N0, beta), name=name)

@@ -198,3 +198,13 @@ def test_thm16_refuses_literal_without_digit_zero(capsys):
         code, out, err = run(capsys, "--prime", "3", "eval", "thm16",
                              literal)
         assert code == 3 and out == "" and "precision" in err
+
+
+@pytest.mark.parametrize("precision, claim, need", [
+    ("16", "continuity-modulus", 22), ("13", "deviation", 14)])
+def test_thm2_f_claims_refuse_short_precision(capsys, precision, claim,
+                                               need):
+    code, out, err = run(capsys, "--precision", precision, "verify",
+                         "thm2_f", claim)
+    assert code == 3 and out == ""
+    assert f"needs {need} digits" in err

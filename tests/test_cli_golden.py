@@ -7,7 +7,15 @@ points in text and JSON, and ``table lip_fN`` at two exponents, at
 p = 2, 3 and 5.  There is also ``verify`` of every listed claim at its
 default size, at p = 3.  Any change to a value, a verdict, a report or an
 error exit changes a digest and fails here.
+
+Three more groups pin how the index set and the exponent reach the
+entries: ``verify`` of every claim that takes no seed, at p = 2 and 5 and
+at p = 3 with ``--set 2,1``, and ``eval`` of every entry at the same points
+with ``--set 2,1 --beta 1/7`` at p = 3.  They hold no seeded claim, so a
+change to the samplers leaves them as they are.
 """
+
+import inspect
 
 import pytest
 
@@ -24,8 +32,23 @@ def _points(p: int) -> list[str]:
             f"0 0 0 * {p}^0 (mod {p}^3)"]
 
 
+def _unseeded_claims(p: int) -> list[tuple[str, str]]:
+    return [(name, claim) for name in ENTRY_NAMES
+            for claim, fn in sorted(build_entry(name, p).claims.items())
+            if "seed" not in inspect.signature(fn).parameters]
+
+
 def _commands(p: int, command: str) -> list[list[str]]:
     head = ["--prime", str(p)]
+    if command == "eval-set-beta":
+        return [head + ["eval", name, "--set", "2,1", "--beta", "1/7", x]
+                for name in ENTRY_NAMES for x in _points(p)]
+    if command == "verify-unseeded":
+        return [head + ["verify", name, claim]
+                for name, claim in _unseeded_claims(p)]
+    if command == "verify-unseeded-set":
+        return [head + ["verify", name, claim, "--set", "2,1"]
+                for name, claim in _unseeded_claims(p)]
     if command == "list":
         return [head + ["list"]]
     if command == "eval":
@@ -52,6 +75,9 @@ GOLDEN = {
     (2, "list"): (
         "335175317d5b4e31bfe170cde1a60023d5ce09a202c79975a9f2cf6d85cbf4ed",
         "0"),
+    (2, "verify-unseeded"): (
+        "b0f6e6c4771bf0051c6621052ca7a962c81515384435e519b4027205b6a5e9ee",
+        "0000000000000"),
     (2, "table"): (
         "adb6fe9c61bfe9274214d24c1de57459e5948a3d905b7d9e46f7ad03778c8eb0",
         "00"),
@@ -60,6 +86,11 @@ GOLDEN = {
         "000000000000000000000000000000000030000020000222200223000000000000"
         "000030000000000000000030000000000000000000000000000000000000000000"
         "000000000000000020000222200220000020000222200220000020000222200220"
+        "000000000000000000000000000000000030000020000222200223000000000000"
+        "000030000000000000000030000000000000000000000000000000000000000000"
+        "000000000000000020000222200220000020000222200220000020000222200220"),
+    (3, "eval-set-beta"): (
+        "45b333ced42833992bd711afa3a2d406efb25c525aef53d8f944ac40a6f1e266",
         "000000000000000000000000000000000030000020000222200223000000000000"
         "000030000000000000000030000000000000000000000000000000000000000000"
         "000000000000000020000222200220000020000222200220000020000222200220"),
@@ -72,6 +103,9 @@ GOLDEN = {
     (3, "verify"): (
         "8a750a7731e6af4a1016fa2e5029fea5cd0ba0d415ae83e41c888308d232a260",
         "0000000000000000000"),
+    (3, "verify-unseeded-set"): (
+        "af42edda5c68fb9355e0c473535d32482207404544a738bc718a3a0e48f1e749",
+        "0000000000000"),
     (5, "eval"): (
         "79fb41cc2a89036d06e16a76006abc9d79ba2e3a0ae57b4a3c1b6300f1d96c38",
         "000000000000000000000000000000000030000002000222200223000000000000"
@@ -86,6 +120,9 @@ GOLDEN = {
     (5, "table"): (
         "adf31927d33e1d9dfc05c2d02b2a5a97da5d4accddcf3e79af3b168590bd9126",
         "00"),
+    (5, "verify-unseeded"): (
+        "029908189e3fcc4d1d98f6ea496e39228f9957967dda7410c4736020d95c94f5",
+        "0000000000000"),
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -7,10 +8,9 @@ from padiczoo.quotients import PadicFunction
 from padiczoo.vanderput import (
     ball_exponent,
     basis_eval,
+    criterion_products,
     decompose,
     drop_leading_digit,
-    lip_criterion,
-    n1_criterion,
     partial_sum,
     power_str,
     schedule_exponent,
@@ -85,35 +85,30 @@ def test_schedule_exponent():
     assert all(schedule_exponent(k, 3) >= 1 for k in range(1, 200))
 
 
-def test_n1_criterion_windows():
+def test_criterion_products_are_exact():
     p = 2
-    rows = [(n, Fraction(1, 2 ** n)) for n in range(1, 65)]
-    rep = n1_criterion(rows, p)
-    assert rep.kind == "n1"
-    assert rep.tends_to_zero()
-    assert rep.window_maxima[0][0] == 1
+    rows = [(n, n) for n in range(1, 65)]  # |a_n| = 2^-n
+    products = list(criterion_products(rows, 1, p))
+    assert products == [(n, 2 ** n) for n in range(1, 65)]
     # |a_n| n = n / 2^n peaks at n = 1, 2
-    assert rep.running_sup == Fraction(1, 2)
+    assert max(Fraction(a, q) for a, q in products) == Fraction(1, 2)
+    # n^2/2^n first exceeds 1 at n = 3; the stream stops there
+    first = next(n for n, (a, q) in zip(count(1), criterion_products(
+        ((n, n) for n in count(1)), Fraction(2), p)) if a > q)
+    assert first == 3
+    # far beyond float range, and a norm above 1
+    assert list(criterion_products([(2 ** 1100, 1200), (3, -2)], 2, p)) \
+        == [(2 ** 2200, 2 ** 1200), (36, 1)]
 
 
-def test_lip_criterion_unbounded():
-    p = 2
-    rows = [(n, Fraction(1, 2 ** n)) for n in range(1, 40)]
-    rep = lip_criterion(rows, Fraction(2), p)
-    assert rep.kind == "lip"
-    assert rep.running_sup > 1  # n^2/2^n peaks above 1 early on
-    with pytest.raises(DomainError):
-        lip_criterion(rows, Fraction(-1), p)
-
-
-def test_csv_rendering():
-    p = 2
-    rows = [(n, Fraction(1, 2 ** n)) for n in range(1, 5)]
-    rep = n1_criterion(rows, p)
-    text = rep.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,coeff_norm,coeff_norm_decimal,product"
-    assert lines[1].startswith("1,2^-1,0.5,")
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), -1, 0, 2.0])
+def test_criterion_products_refuse_alpha(alpha):
+    # the products of a non-integer alpha are not rationals: refused, not
+    # approximated in floats (which overflow at k = 2^1100 and read 0 at a
+    # norm of 2^-1200)
+    for row in ((2 ** 1100, 5), (3, 1200)):
+        with pytest.raises(DomainError):
+            criterion_products([row], alpha, 2)
 
 
 def test_power_str():
@@ -127,7 +122,11 @@ def test_series_rows_zero_function():
     p = 3
     zero = PadicFunction(lambda x: PadicNumber.zero(p))
     series = decompose(zero, p)
-    assert all(norm == 0 for _, norm in series_rows(series, 20))
+    assert list(series_rows(series, 20)) == []
+    # for f(x) = x, |a_n| = p^-s with s = floor(log_p n); a_0 = 0
+    ident = decompose(PadicFunction(lambda x: x), p)
+    assert list(series_rows(ident, 30)) == [
+        (n, ball_exponent(n, p) - 1) for n in range(1, 31)]
 
 
 def test_power_str_large_exponents():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from padiczoo.core import DomainError, InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
-from padiczoo.vanderput import ball_exponent
+from padiczoo.vanderput import ball_exponent, criterion_products
 from padiczoo.zoo import (
     ENTRY_NAMES,
     E_prefix_member,
@@ -166,6 +166,10 @@ def test_lip_claims_match_fraction_reference(p):
         "n_limit": 400, "max_product": float(max(products))}
     with pytest.raises(DomainError):
         e.run_claim("lip2-unbounded", n_limit=400, threshold=0)
+    for alpha in (1, 2):
+        got = criterion_products([(k, m) for n, k, m, norm in rows], alpha, p)
+        assert [Fraction(a, q) for a, q in got] \
+            == [norm * Fraction(k) ** alpha for n, k, m, norm in rows]
     for threshold in (1, 100, 10 ** 6, 10 ** 40):
         crossing = next((n for n, k, m, norm in rows
                          if norm * Fraction(k) ** 2 > threshold), None)
@@ -349,6 +353,21 @@ def test_thm2_f_claims():
     assert e.run_claim("deviation", steps=8).passed
 
 
+def test_thm2_f_claims_refuse_short_precision():
+    # the offsets of modulus m are drawn below p^(2m+2), and the first
+    # deviation step reads 13 digits of a point with 2*(precision//2)
+    with pytest.raises(InsufficientPrecision, match="needs 66 digits"):
+        build_entry("thm2_f", 3).run_claim("continuity-modulus", m_max=32)
+    e = build_entry("thm2_f", 3, 21)
+    with pytest.raises(InsufficientPrecision, match="needs 22 digits"):
+        e.run_claim("continuity-modulus", pairs=50)
+    assert e.run_claim("continuity-modulus", pairs=50, m_max=9).passed
+    with pytest.raises(InsufficientPrecision, match="needs 14 digits"):
+        build_entry("thm2_f", 3, 13).run_claim("deviation")
+    r = build_entry("thm2_f", 3, 14).run_claim("deviation")
+    assert r.passed and r.details["steps"] == 1
+
+
 def test_thm2_g_values_and_claim():
     p = 3
     e = thm2_g(p)
@@ -400,10 +419,28 @@ def test_linear_combination():
 def test_registry_complete():
     for name in ENTRY_NAMES:
         e = build_entry(name, 3)
-        assert e.name in (name, "cor15")
+        assert e.name == name
+        assert e.prime == 3
+        assert (e.beta is not None) == (name in ("thm16", "cor15", "cor15_g"))
         assert callable(e.function.evaluator)
+    beta = PadicNumber.from_rational(1, 7, 3)
+    assert build_entry("thm16", 3, beta=beta).beta is beta
     with pytest.raises(DomainError):
         build_entry("nope", 3)
+
+
+def test_poly_combine_composes_only_shells():
+    p = 3
+    one = PadicNumber.one(p, 64)
+    mono = [Monomial(one, (1, 1))]
+    shells = [build_entry("thm16", p, 64, beta=PadicNumber.from_int(b, p))
+              for b in (1, 4)]
+    poly = poly_combine(shells, mono, 64)
+    assert sorted(poly.claims) == ["derivative-norm-growth"]
+    assert poly.derivative is not None and poly.prime == p
+    steps = [build_entry("thm34i", p, member_bit=b) for b in (0, 1)]
+    poly = poly_combine(steps, mono, 64)
+    assert poly.claims == {} and poly.derivative is None
 
 
 def test_unknown_claim_rejected():
