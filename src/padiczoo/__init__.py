@@ -15,7 +15,7 @@ from .quotients import PadicFunction, WitnessTrace, phi_r, probe_derivative, \
     probe_strict, probe_strict_order2
 from .vanderput import VdPSeries, criterion_products, decompose
 from .zoo import ENTRY_NAMES, ZooEntry, build_entry
-from .haar import MCReport, estimate_E_prefix_series, estimate_Y0, sample_zp
+from .haar import MCReport, estimate_E_prefix_series, estimate_Y0
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -44,5 +44,4 @@ __all__ = [
     "MCReport",
     "estimate_E_prefix_series",
     "estimate_Y0",
-    "sample_zp",
 ]

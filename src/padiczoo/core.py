@@ -384,19 +384,14 @@ class PadicNumber:
 
 def _make(p: int, v: int, unit: int, abs_precision: int,
           exact: Optional[Fraction] = None) -> PadicNumber:
-    """Normalize (strip p factors into the valuation, reduce the unit)."""
+    """Normalize (strip p factors into the valuation, reduce the unit).  A
+    value with no nonzero digit below ``abs_precision`` is a bounded zero,
+    or, when exact, widened by ``_from_exact``."""
     rel = abs_precision - v
-    if rel <= 0:
-        raise InsufficientPrecision("value has no known digits")
-    unit %= p ** rel
+    unit = unit % p ** rel if rel > 0 else 0
     if unit == 0:
-        if exact is not None and exact != 0:
-            # the digits in the window vanish but the value is fully known:
-            # widen the window so the leading digit is visible
-            return _from_exact(p, exact,
-                               max(abs_precision, _ord_fraction(exact, p) + 1))
-        if exact == 0:
-            return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
+        if exact is not None:
+            return _from_exact(p, exact, abs_precision)
         return PadicNumber(p, abs_precision, 0, abs_precision, None)
     e = ord_int(unit, p)
     return PadicNumber(p, v + e, unit // p ** e, abs_precision, exact)
@@ -406,14 +401,12 @@ def _from_exact(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
     if q == 0:
         return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
     v = _ord_fraction(q, p)
-    rel = abs_precision - v
-    if rel <= 0:
-        raise InsufficientPrecision(
-            f"|x|_p = p^{-v} exceeds the requested precision window")
+    # a value below the window widens it so the leading digit is visible
+    rel = max(abs_precision - v, 1)
     num = q.numerator // p ** max(0, ord_int(q.numerator, p))
     den = q.denominator // p ** max(0, ord_int(q.denominator, p))
     unit = num * pow(den, -1, p ** rel) % p ** rel
-    return PadicNumber(p, v, unit, abs_precision, q)
+    return PadicNumber(p, v, unit, v + rel, q)
 
 
 # -- parsing ---------------------------------------------------------------

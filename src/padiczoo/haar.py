@@ -5,6 +5,8 @@ under seed s is the sha256 of (s mod 2**64, i, j, p), so estimates are
 bit-identical across runs and platforms for a fixed seed.  The estimators
 hash blocks on demand: a draw's E-prefix scan hashes block j + 1 only when
 the pairs of blocks 0..j held no zero pair, and Y0 reads only block 0.
+``Stream`` draws whole residues from the same counter for every other
+random point in the package.
 """
 
 from __future__ import annotations
@@ -28,20 +30,16 @@ _unpack_words = struct.Struct(">8I").unpack
 _SEED_MASK = 2 ** 64 - 1
 
 
-class _LazyHashlib:
-    """Imports ``hashlib`` at the first hash and puts it in its own place:
-    hashlib loads OpenSSL, about 3.5 MiB resident with CPython 3.11 on
-    Linux, which runs that draw nothing from Z_p do not need."""
-
-    def __getattr__(self, name: str):
+# CPython's built-in sha256 (``_sha2`` from 3.12, ``_sha256`` before) does
+# not load OpenSSL (3.5 MiB resident).  Callers look up ``hashlib.sha256``
+# at call time, so a stand-in set as ``haar.hashlib`` sees every hash.
+try:
+    import _sha2 as hashlib
+except ImportError:
+    try:
+        import _sha256 as hashlib
+    except ImportError:
         import hashlib
-        globals()["hashlib"] = hashlib
-        return getattr(hashlib, name)
-
-
-# the estimators look up ``hashlib.sha256`` at call time, so a stand-in set
-# as ``haar.hashlib`` sees every hash
-hashlib = _LazyHashlib()
 
 
 def _check_prime_fits(p: int) -> None:
@@ -70,14 +68,61 @@ def digit_stream(seed: int, sample: int, p: int) -> Iterator[int]:
         block += 1
 
 
-def sample_zp(seed: int, sample: int, p: int, precision: int) -> PadicNumber:
-    """One Haar-uniform element of Z_p, known modulo p**precision."""
-    stream = digit_stream(seed, sample, p)
-    digits = [next(stream) for _ in range(precision)]
-    x = PadicNumber.from_digits(p, 0, digits, precision)
-    if x.is_zero_like:
-        return PadicNumber.bounded_zero(p, precision)
-    return x.truncated(precision)
+class Stream:
+    """Haar-random p-adic points from one seeded sha256 counter stream.
+
+    Draw i of the stream under seed s reads the blocks (s mod 2**64, i, j, 0)
+    for j = 0, 1, ...: the estimators' message with p = 0, which no
+    estimator hashes.  Each draw reduces enough blocks for bits(n) + 64 bits
+    mod n, so it is within statistical distance 2**-64 of uniform on
+    [0, n).  A point takes all its digits from one such draw, and a zero
+    residue gives a bounded zero.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = seed & _SEED_MASK
+        self._draws = 0
+
+    def _below(self, n: int) -> int:
+        """A uniform integer in [0, n)."""
+        sha256, seed, i = hashlib.sha256, self._seed, self._draws
+        self._draws = i + 1
+        r = 0
+        for j in range(-(-(n.bit_length() + 64) // 256)):
+            r = r << 256 | int.from_bytes(
+                sha256(_pack_message(seed, i, j, 0)).digest(), "big")
+        return r % n
+
+    def zp(self, p: int, precision: int,
+           min_valuation: int = 0) -> PadicNumber:
+        """A point of p**min_valuation Z_p known mod p**precision."""
+        unit = self._below(p ** (precision - min_valuation))
+        if unit == 0:
+            return PadicNumber.bounded_zero(p, precision)
+        return PadicNumber.from_unit(p, min_valuation, unit, precision)
+
+    def nonzero(self, p: int, precision: int,
+                valuation_range: tuple[int, int] = (-4, 5)) -> PadicNumber:
+        """A point with valuation uniform in ``range(*valuation_range)`` and
+        ``precision`` known digits from there, the leading one nonzero."""
+        low, high = valuation_range
+        v = low + self._below(high - low)
+        # (leading digit - 1) + (p - 1) * (the other precision - 1 digits)
+        rest, lead = divmod(self._below((p - 1) * p ** (precision - 1)),
+                            p - 1)
+        return PadicNumber.from_unit(p, v, lead + 1 + p * rest, v + precision)
+
+    def no_zero_pair(self, p: int, precision: int) -> PadicNumber:
+        """A point of Z_p with precision // 2 digit pairs, none of them 0 0."""
+        # base p**2 - 1 digits of one draw, each shifted to a nonzero pair
+        pairs, base = precision // 2, p * p - 1
+        r = self._below(base ** pairs)
+        unit, scale = 0, 1
+        for _ in range(pairs):
+            r, d = divmod(r, base)
+            unit += (d + 1) * scale
+            scale *= p * p
+        return PadicNumber.from_unit(p, 0, unit, 2 * pairs)
 
 
 def pair_indicator(digits: list[int], i: int) -> int:

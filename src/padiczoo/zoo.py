@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber, pow_one_plus
 from .families import IndexSet, CellEnumerator
+from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
     probe_derivative, probe_strict, probe_strict_order2
 from .vanderput import ball_exponent, criterion_products, schedule_exponent
@@ -43,11 +44,11 @@ _SIZE_FLOORS = {"m_max": 1, "threshold": 1}
 @dataclass(frozen=True)
 class ZooEntry:
     """A gallery function on Q_p or Z_p for one prime, with its closed-form
-    derivative when one is known and its named claims.  ``beta`` is the
-    exponent of the analytic shell branches, for the entries that have
-    them; ``poly_combine`` composes the derivative from it.  ``build_entry``
-    names an entry by its registry key, a builder called directly after
-    itself."""
+    derivative when one is known and its named claims.  ``beta`` is set
+    only on the shell entries of ``thm16_fbeta``, whose derivative
+    ``poly_combine`` composes from it; the pinched entries of ``cor15``
+    take an exponent too but leave it unset.  ``build_entry`` names an
+    entry by its registry key, a builder called directly after itself."""
 
     name: str
     prime: int
@@ -223,12 +224,11 @@ def thm34ii_gN(N: IndexSet, p: int,
             yield n, (x, y, z)
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
-        import random
-        rng = random.Random(seed)
+        draw = Stream(seed)
         worst, checked = Fraction(0), 0
         for _ in range(pairs):
-            x = _random_zp(rng, p, precision)
-            y = _random_zp(rng, p, precision)
+            x = draw.zp(p, precision)
+            y = draw.zp(p, precision)
             d = x - y
             if d.is_zero_like:
                 continue
@@ -466,10 +466,9 @@ def thm16_fbeta(beta: PadicNumber, p: int,
                            {"limit": limit})
 
     def claim_zero_on_pzp(samples: int = 100, seed: int = 0) -> ClaimResult:
-        import random
-        rng = random.Random(seed)
+        draw = Stream(seed)
         for _ in range(samples):
-            y = _random_zp(rng, p, precision, min_valuation=1)
+            y = draw.zp(p, precision, min_valuation=1)
             if not evaluate(y).is_exact_zero:
                 return ClaimResult("zero-on-pzp", False, {"y": y.render()})
         return ClaimResult("zero-on-pzp", samples >= 1, {"samples": samples})
@@ -541,10 +540,10 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
                  search_depth: int = 2) -> ZooEntry:
     """Polynomial (no free term) in zoo functions, evaluated pointwise.
 
-    For entries of the analytic shell family the composed derivative is
-    attached in closed form; the aggregate exponents must be pairwise
-    distinct and nonzero at working precision, otherwise the combination
-    is rejected.
+    When every entry is a ``thm16_fbeta`` shell (has a ``beta``) the
+    composed derivative is attached in closed form; the aggregate exponents
+    must be pairwise distinct and nonzero at working precision, otherwise
+    the combination is rejected.
     """
     if not monomials:
         raise DomainError("polynomial must have at least one monomial")
@@ -720,7 +719,7 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
 
     return ZooEntry(cor15_gbeta.__name__, p,
                     PadicFunction(evaluate, domain_tag="Qp"),
-                    PadicFunction(derivative, domain_tag="Qp"), beta,
+                    PadicFunction(derivative, domain_tag="Qp"),
                     claims={"center-values": claim_values_on_centers})
 
 
@@ -767,8 +766,7 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                            {"limit": limit})
 
     return ZooEntry(cor15_Fbeta.__name__, p,
-                    PadicFunction(evaluate, domain_tag="Qp"), beta=beta,
-                    claims={
+                    PadicFunction(evaluate, domain_tag="Qp"), claims={
                         "quotient-growth": claim_quotient_growth,
                         "continuity-at-center": claim_continuity_at_center,
                     })
@@ -820,10 +818,9 @@ def prop26_fN(N: Optional[IndexSet], p: int,
                            {"points": checked, "limit": limit})
 
     def claim_derivative_zero(samples: int = 1000, seed: int = 0) -> ClaimResult:
-        import random
-        rng = random.Random(seed)
+        draw = Stream(seed)
         for _ in range(samples):
-            x = _random_nonzero(rng, p, precision)
+            x = draw.nonzero(p, precision)
             h = PadicNumber.from_int(
                 p ** (abs(x.valuation) ** 2 + abs(x.valuation) + 2), p,
                 precision)
@@ -911,15 +908,13 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             raise InsufficientPrecision(
                 f"continuity modulus up to m = {m_max} needs "
                 f"{2 * m_max + 2} digits")
-        import random
-        rng = random.Random(seed)
+        draw = Stream(seed)
         checked = 0
         for i in range(pairs):
             m = 1 + i % m_max
             bound = Fraction(p) ** (-(2 * m + 1))
-            x = _random_zp(rng, p, precision, min_valuation=0)
-            y = x + _random_zp(rng, p, precision,
-                               min_valuation=2 * m + 2)
+            x = draw.zp(p, precision)
+            y = x + draw.zp(p, precision, min_valuation=2 * m + 2)
             if (x - y).norm_upper() >= bound:
                 continue
             checked += 1
@@ -934,9 +929,7 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         # the first step needs 13 digits, and the point has 2*(precision//2)
         if precision < 14:
             raise InsufficientPrecision("deviation needs 14 digits")
-        import random
-        rng = random.Random(seed)
-        x = _random_no_zero_pair(rng, p, precision)
+        x = Stream(seed).no_zero_pair(p, precision)
         one = PadicNumber.one(p, precision)
         count = 0
         for n, (a, b) in deviation_witness(x, steps):
@@ -996,7 +989,7 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
 
 
 # ---------------------------------------------------------------------------
-# combinations and random points
+# combinations
 
 def linear_combination(entries: Sequence[ZooEntry],
                        coeffs: Sequence[PadicNumber],
@@ -1014,37 +1007,6 @@ def linear_combination(entries: Sequence[ZooEntry],
 
     return ZooEntry("combination", p, PadicFunction(
         evaluate, domain_tag=entries[0].function.domain_tag))
-
-
-# Each sampler draws a whole residue with one randrange call: the digits of
-# a uniform residue mod p**k are k independent uniform digits.
-
-def _random_zp(rng, p: int, precision: int,
-               min_valuation: int = 0) -> PadicNumber:
-    unit = rng.randrange(p ** (precision - min_valuation))
-    if unit == 0:
-        return PadicNumber.bounded_zero(p, precision)
-    return PadicNumber.from_unit(p, min_valuation, unit, precision)
-
-
-def _random_nonzero(rng, p: int, precision: int,
-                    valuation_range: tuple[int, int] = (-4, 5)) -> PadicNumber:
-    v = rng.randrange(*valuation_range)
-    # (leading digit - 1) + (p - 1) * (the other precision - 1 digits)
-    rest, lead = divmod(rng.randrange((p - 1) * p ** (precision - 1)), p - 1)
-    return PadicNumber.from_unit(p, v, lead + 1 + p * rest, v + precision)
-
-
-def _random_no_zero_pair(rng, p: int, precision: int) -> PadicNumber:
-    # base p**2 - 1 digits of one draw, each shifted to a nonzero pair
-    pairs, base = precision // 2, p * p - 1
-    r = rng.randrange(base ** pairs)
-    unit, scale = 0, 1
-    for _ in range(pairs):
-        r, d = divmod(r, base)
-        unit += (d + 1) * scale
-        scale *= p * p
-    return PadicNumber.from_unit(p, 0, unit, 2 * pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ pass/fail line each.  Tolerances are exact (ultrametric identities) except
 for the Monte Carlo criteria, which use 3-sigma bands, and the stated wall
 clock budgets."""
 
-import random
 import time
 from fractions import Fraction
 from itertools import product, takewhile
@@ -23,9 +22,7 @@ from padiczoo.zoo import (
     thm34i_fN,
     thm34ii_gN,
 )
-from padiczoo.haar import estimate_E_prefix_series, estimate_Y0
-
-from conftest import make_random, make_random_zp
+from padiczoo.haar import Stream, estimate_E_prefix_series, estimate_Y0
 
 
 def _report(num: int, label: str, ok: bool, note: str = "") -> None:
@@ -37,12 +34,12 @@ def _report(num: int, label: str, ok: bool, note: str = "") -> None:
 
 def test_criterion_01_ultrametric_fuzz():
     t0 = time.monotonic()
-    rng = random.Random(1)
+    rng = Stream(1)
     ok = True
     for p in (2, 3, 5):
         for _ in range(10_000):
-            x = make_random(rng, p, precision=10)
-            y = make_random(rng, p, precision=10)
+            x = rng.nonzero(p, 10, (-3, 5))
+            y = rng.nonzero(p, 10, (-3, 5))
             if (x * y).abs_value() != x.abs_value() * y.abs_value():
                 ok = False
                 break
@@ -61,7 +58,7 @@ def test_criterion_01_ultrametric_fuzz():
 
 def test_criterion_02_ball_step_probes():
     p, k = 5, 3
-    rng = random.Random(2)
+    rng = Stream(2)
     sets = [IndexSet(k, i, 1) for i in range(k)]
     entries = [thm34i_fN(N, p) for N in sets]
     witness_cell = CellEnumerator(sets, [1, 0, 0])
@@ -69,7 +66,7 @@ def test_criterion_02_ball_step_probes():
     ok = True
     for trial in range(100):
         alphas = [PadicNumber.from_int(
-            rng.randrange(p ** 4) * p + rng.randrange(1, p), p)
+            rng._below(p ** 4) * p + 1 + rng._below(p - 1), p)
             for _ in range(k)]  # random units
         comb = linear_combination(entries, alphas)
         zero = PadicNumber.zero(p)
@@ -96,17 +93,17 @@ def test_criterion_02_ball_step_probes():
 
 def test_criterion_03_digit_spreading():
     p, k = 5, 3
-    rng = random.Random(3)
+    rng = Stream(3)
     sets = [IndexSet(k, i, 0) for i in range(k)]
     entries = [thm34ii_gN(N, p, 32) for N in sets]
-    betas = [PadicNumber.from_int(rng.randrange(1, p ** 4) * p + 1, p)
+    betas = [PadicNumber.from_int((1 + rng._below(p ** 4 - 1)) * p + 1, p)
              for _ in range(k)]
     comb = linear_combination(entries, betas, 32)
     g = comb.function
     ok = True
     for _ in range(10_000):
-        x = make_random_zp(rng, p, 20)
-        y = make_random_zp(rng, p, 20)
+        x = rng.zp(p, 20)
+        y = rng.zp(p, 20)
         d = x - y
         if d.is_zero_like:
             continue
@@ -144,14 +141,14 @@ def test_criterion_04_lip_scale():
 
 def test_criterion_05_binomial_powers():
     t0 = time.monotonic()
-    rng = random.Random(5)
+    rng = Stream(5)
     ok = True
     for p in (2, 3, 5):
         for _ in range(334):
-            x = make_random_zp(rng, p, 34, min_valuation=1)
+            x = rng.zp(p, 34, min_valuation=1)
             if x.is_zero_like:
                 continue
-            alpha = make_random(rng, p, 34, vmin=0, vmax=0)
+            alpha = rng.nonzero(p, 34, (0, 1))
             prod = pow_one_plus(x, alpha, 34) * pow_one_plus(
                 x, PadicNumber.zero(p) - alpha, 34)
             d = prod - PadicNumber.one(p, 34)
@@ -161,10 +158,10 @@ def test_criterion_05_binomial_powers():
     # finite differences against the analytic derivative
     for p in (2, 3, 5):
         for _ in range(40):
-            x = make_random_zp(rng, p, 40, min_valuation=1)
-            alpha = make_random(rng, p, 40, vmin=0, vmax=0)
+            x = rng.zp(p, 40, min_valuation=1)
+            alpha = rng.nonzero(p, 40, (0, 1))
             h = PadicNumber.from_int(
-                p ** rng.randrange(2, 8) * rng.randrange(1, p), p, 40)
+                p ** (2 + rng._below(6)) * (1 + rng._below(p - 1)), p, 40)
             fd = (pow_one_plus(x + h, alpha, 40)
                   - pow_one_plus(x, alpha, 40)) / h
             an = alpha * pow_one_plus(x, alpha - PadicNumber.one(p, 40), 40)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +13,6 @@ from padiczoo.core import (
     parse_padic,
     pow_one_plus,
 )
-
-from conftest import make_random, make_random_zp
 
 
 def test_prime_certification():
@@ -55,6 +52,18 @@ def test_zero_states():
     assert (x + z).exactly_equals(x)
 
 
+def test_value_below_the_window():
+    # 64 = 2^6 has no nonzero digit mod 2^6: an exact value widens the
+    # window to its leading digit, a truncation is a bounded zero
+    x = PadicNumber.from_int(64, 2, 6)
+    assert (x.valuation, x.unit, x.abs_precision, x.exact) == (6, 1, 7, 64)
+    assert PadicNumber.from_int(64, 2).at_precision(6) == x
+    t = PadicNumber.from_int(64, 2).truncated(6)
+    assert t.is_bounded_zero and t.abs_precision == 6
+    b = PadicNumber.from_unit(3, 5, 2, 3)
+    assert b.is_bounded_zero and b.abs_precision == 3
+
+
 def test_precision_propagation_add_mul():
     p = 3
     x = PadicNumber.from_int(4, p, 10).truncated(10)
@@ -88,7 +97,7 @@ def test_mul_by_bounded_zero():
 def test_parse_render_roundtrip(rng):
     for p in (2, 3, 5):
         for _ in range(50):
-            x = make_random(rng, p)
+            x = rng.nonzero(p, 16, (-3, 5))
             assert parse_padic(x.render(), p).render() == x.render()
     assert parse_padic("0", 5).is_exact_zero
     assert parse_padic("p^3", 2).abs_value() == Fraction(1, 8)
@@ -139,10 +148,10 @@ def test_pow_integer_matches_rational():
 def test_pow_round_trip(rng):
     p = 3
     for _ in range(25):
-        y = make_random_zp(rng, p, 20, min_valuation=1)
+        y = rng.zp(p, 20, min_valuation=1)
         if y.is_zero_like:
             continue
-        alpha = make_random(rng, p, 16, vmin=0, vmax=0)
+        alpha = rng.nonzero(p, 16, (0, 1))
         prod = pow_one_plus(y, alpha, 16) * pow_one_plus(
             y, PadicNumber.zero(p) - alpha, 16)
         d = prod - PadicNumber.one(p, 16)
@@ -194,8 +203,7 @@ def test_pow_exact_only_when_series_terminates():
 def test_digits_match_digit_reads(rng):
     for p in (2, 3, 5, 101):
         for n in (1, 7, 31, 32, 33, 64, 130):
-            v = rng.randrange(-3, 4)
-            x = PadicNumber.from_unit(p, v, rng.randrange(1, p ** n), v + n)
+            x = rng.nonzero(p, n, (-3, 4))
             assert x.digits == tuple(
                 x.digit(i) for i in range(x.valuation, x.abs_precision))
 

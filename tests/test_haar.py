@@ -12,16 +12,17 @@ import padiczoo
 from padiczoo.core import DomainError
 from padiczoo.haar import (
     E_prefix_target,
+    Stream,
     _binomial_report,
     digit_stream,
     estimate_E_prefix,
     estimate_E_prefix_series,
     estimate_Y0,
     pair_indicator,
-    sample_zp,
     slln_report,
     zero_pair_fraction,
 )
+from padiczoo.zoo import E_prefix_member
 
 
 def test_targets():
@@ -41,13 +42,65 @@ def test_digit_stream_deterministic_and_in_range():
     assert a != c  # different seed, different draw
 
 
-def test_sample_zp():
-    x = sample_zp(11, 0, 5, 32)
-    y = sample_zp(11, 0, 5, 32)
-    assert x.render() == y.render()
-    assert x.abs_precision == 32
-    stream = [d for d, _ in zip(digit_stream(11, 0, 5), range(32))]
-    assert [x.digit(i) for i in range(32)] == stream
+def _draws(seed):
+    s = Stream(seed)
+    return [s.zp(5, 32), s.nonzero(3, 20), s.no_zero_pair(2, 16),
+            s._below(10 ** 100)]
+
+
+def test_stream_deterministic_per_seed_mod_2_64():
+    for seed in (0, 11, -1, -5, 2 ** 64, 2 ** 64 + 11, 3 * 2 ** 64 - 5):
+        assert _draws(seed) == _draws(seed)
+        assert _draws(seed) == _draws(seed % 2 ** 64)
+    assert _draws(11) != _draws(12)
+    assert _draws(-1) == _draws(2 ** 64 - 1) != _draws(1)
+
+
+def test_stream_draw_hashes_bits_plus_64(monkeypatch):
+    import padiczoo.haar as haar
+    counter = _CountingHashlib(haar.hashlib)
+    monkeypatch.setattr(haar, "hashlib", counter)
+    s = Stream(0)
+    for n, blocks in ((2, 1), (2 ** 191, 1), (2 ** 192, 2), (2 ** 448, 3)):
+        before = counter.calls
+        assert 0 <= s._below(n) < n
+        assert counter.calls - before == blocks, n
+
+
+def test_stream_draws_are_near_uniform():
+    s = Stream(4)
+    counts = [0] * 6
+    for _ in range(6000):
+        counts[s._below(6)] += 1
+    # 1000 expected per face; 5 sigma is about 150
+    assert all(850 <= c <= 1150 for c in counts), counts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_stream_points_keep_their_contracts(p, monkeypatch):
+    n = 1024
+    s = Stream(p)
+    for _ in range(3):
+        x = s.zp(p, n, min_valuation=3)
+        assert x.exact is None and x.abs_precision == n
+        assert x.is_zero_like or x.valuation >= 3
+        y = s.nonzero(p, n, (-2, 3))
+        assert -2 <= y.valuation < 3 and y.exact is None
+        assert y.abs_precision - y.valuation == n
+        assert y.digit(y.valuation) != 0
+        z = s.no_zero_pair(p, n)
+        assert z.abs_precision == n and E_prefix_member(z, n // 2)
+    # a point of p**n Z_p is always a zero draw
+    zero = s.zp(p, n, min_valuation=n)
+    assert zero.is_bounded_zero and zero.abs_precision == n
+    # the extreme draws: every residue 0, then every residue at its largest
+    for top in (False, True):
+        monkeypatch.setattr(Stream, "_below",
+                            lambda self, m: m - 1 if top else 0)
+        assert s.zp(p, n).is_bounded_zero != top
+        y = s.nonzero(p, n)
+        assert y.digit(y.valuation) != 0 and y.abs_precision - y.valuation == n
+        assert E_prefix_member(s.no_zero_pair(p, n), n // 2)
 
 
 def test_pair_statistics_helpers():
@@ -114,8 +167,6 @@ def test_input_validation():
         estimate_E_prefix_series(big, 2, 10, 0)
     with pytest.raises(DomainError):
         slln_report(big, 2, 10, 0)
-    with pytest.raises(DomainError):
-        sample_zp(0, 0, big, 4)
     assert estimate_Y0(4294967291, 10, 0).within(3.0)  # below 2**32
 
 
@@ -209,16 +260,15 @@ def test_slln_refuses_no_samples():
         slln_report(3, 4, 0, 0)
 
 
-def test_hashlib_loads_at_the_first_hash():
-    # hashlib loads OpenSSL; a run that draws nothing from Z_p skips it
+def test_sampling_never_loads_openssl():
+    # streams and estimators hash with CPython's built-in sha256; hashlib
+    # would load OpenSSL (_hashlib), about 3.5 MiB resident
     code = ("import sys, padiczoo.cli as c\n"
-            "c.main(['--prime', '3', 'eval', 'thm16', 'p^-1'])\n"
-            "print('loaded', 'hashlib' in sys.modules)\n"
+            "c.main(['--prime', '3', 'verify', 'thm34ii', 'contraction'])\n"
             "c.main(['--prime', '3', 'haar', '--samples', '10', '--k', '2'])\n"
-            "print('loaded', 'hashlib' in sys.modules)\n")
+            "print('openssl', '_hashlib' in sys.modules)\n")
     src = str(Path(padiczoo.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    loaded = [line for line in out.splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False", "loaded True"]
+    assert out.splitlines()[-1] == "openssl False"

@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,8 +13,6 @@ from padiczoo.quotients import (
     probe_strict_order2,
 )
 
-from conftest import make_random
-
 
 def _square(p, precision=32):
     return PadicFunction(lambda x: x * x, domain_tag="Qp")
@@ -25,7 +22,7 @@ def test_phi1_of_square_is_sum(rng):
     p = 3
     f = _square(p)
     for _ in range(20):
-        x, y = make_random(rng, p), make_random(rng, p)
+        x, y = rng.nonzero(p, 16, (-3, 5)), rng.nonzero(p, 16, (-3, 5))
         if (x - y).is_zero_like:
             continue
         q = phi_r(f, (x, y))
