@@ -12,7 +12,7 @@ from .core import (
 )
 from .families import IndexSet, generate_family, cell
 from .quotients import PadicFunction, WitnessTrace, phi_r, probe_derivative, \
-    probe_strict, probe_strict_order2
+    probe_strict
 from .vanderput import VdPSeries, criterion_products, decompose
 from .zoo import ENTRY_NAMES, ZooEntry, build_entry
 from .haar import MCReport, estimate_E_prefix_series, estimate_Y0
@@ -34,7 +34,6 @@ __all__ = [
     "phi_r",
     "probe_derivative",
     "probe_strict",
-    "probe_strict_order2",
     "VdPSeries",
     "criterion_products",
     "decompose",

@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json", "csv"))
+                        choices=("text", "json"))
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,7 @@ be re-expanded to any precision on demand.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,10 @@ DEFAULT_PRECISION = 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus used here."""
+    """Deterministic Miller-Rabin, exact for every modulus used here;
+    cached, as every constructor that takes a prime certifies it."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -81,7 +84,10 @@ class Prime:
 def _as_prime_int(p) -> int:
     if isinstance(p, Prime):
         return p.value
-    return Prime(int(p)).value
+    n = int(p)
+    if not is_prime(n):
+        raise DomainError(f"{n!r} is not a prime number")
+    return n
 
 
 def ord_int(n: int, p: int) -> int:
@@ -117,7 +123,7 @@ class PadicNumber:
     @staticmethod
     def bounded_zero(p, abs_precision: int) -> "PadicNumber":
         """All digits below ``abs_precision`` are known to be zero."""
-        p = int(p)
+        p = _as_prime_int(p)
         return PadicNumber(p, abs_precision, 0, abs_precision, None)
 
     @staticmethod

@@ -130,13 +130,6 @@ def pair_indicator(digits: list[int], i: int) -> int:
     return 1 if digits[2 * i] == 0 and digits[2 * i + 1] == 0 else 0
 
 
-def zero_pair_fraction(digits: list[int], n: int) -> float:
-    """(Y_0 + ... + Y_{n-1}) / n, the strong-law statistic."""
-    if n < 1:
-        raise DomainError("need at least one pair")
-    return sum(pair_indicator(digits, i) for i in range(n)) / n
-
-
 @dataclass(frozen=True)
 class MCReport:
     """One Monte Carlo estimate with its binomial standard error."""
@@ -209,11 +202,6 @@ def estimate_Y0(p: int, samples: int, seed: int) -> MCReport:
 def E_prefix_target(p: int, k: int) -> float:
     """P[no zero pair among the first k pairs] = (1 - 1/p**2)**k."""
     return (1 - 1 / p ** 2) ** k
-
-
-def estimate_E_prefix(p: int, k: int, samples: int, seed: int) -> MCReport:
-    """P[none of the first k digit pairs is (0,0)]."""
-    return estimate_E_prefix_series(p, k, samples, seed)[k - 1]
 
 
 def estimate_E_prefix_series(p: int, k_max: int, samples: int,

@@ -7,14 +7,12 @@ record a trace of quotient values with an overall verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import DomainError, InsufficientPrecision, PadicNumber
-from .vanderput import power_str
 
 # number of tail quotients that must agree before a limit is declared
 CONVERGENCE_WINDOW = 8
@@ -40,53 +38,20 @@ class PadicFunction:
 @dataclass(frozen=True)
 class TraceRow:
     index: int
-    inputs: tuple
     quotient: PadicNumber
     norm: Fraction
-    norm_is_exact: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "inputs": [x.render() for x in self.inputs],
-            "quotient": self.quotient.render(),
-            "norm": _norm_str(self.quotient.prime, self.norm,
-                              self.norm_is_exact),
-            "norm_decimal": float(self.norm),
-        }
 
 
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # converges_to | stays_at | diverges | inconclusive
     value: Optional[PadicNumber] = None
-    norm: Optional[Fraction] = None
 
 
 @dataclass
 class WitnessTrace:
     rows: list[TraceRow] = field(default_factory=list)
     verdict: Verdict = Verdict("inconclusive")
-
-    def norms(self) -> list[Fraction]:
-        return [r.norm for r in self.rows]
-
-    def to_json(self) -> str:
-        v = {"kind": self.verdict.kind}
-        if self.verdict.value is not None:
-            v["value"] = self.verdict.value.render()
-        if self.verdict.norm is not None:
-            v["norm_decimal"] = float(self.verdict.norm)
-        return json.dumps({
-            "schema": 1,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "verdict": v,
-        }, indent=2)
-
-
-def _norm_str(p: int, norm: Fraction, exact: bool) -> str:
-    s = power_str(p, norm)
-    return s if exact or norm == 0 else "<=" + s
 
 
 def _distinct(a: PadicNumber, b: PadicNumber) -> PadicNumber:
@@ -117,9 +82,8 @@ def _phi(f: PadicFunction, pts: tuple) -> PadicNumber:
     return (a - b) / _distinct(pts[0], pts[1])
 
 
-def _row(index: int, inputs: tuple, q: PadicNumber) -> TraceRow:
-    exact = not q.is_bounded_zero
-    return TraceRow(index, inputs, q, q.norm_upper(), exact)
+def _row(index: int, q: PadicNumber) -> TraceRow:
+    return TraceRow(index, q, q.norm_upper())
 
 
 def _verdict(rows: list[TraceRow], constant_is_limit: bool) -> Verdict:
@@ -128,18 +92,18 @@ def _verdict(rows: list[TraceRow], constant_is_limit: bool) -> Verdict:
     p = rows[0].quotient.prime
     bound = Fraction(p) ** DIVERGENCE_EXPONENT
     if any(r.norm > bound for r in rows):
-        return Verdict("diverges", norm=max(r.norm for r in rows))
+        return Verdict("diverges")
     qs = [r.quotient for r in rows]
     if all(q.agrees_with(qs[0]) for q in qs[1:]):
         kind = "converges_to" if constant_is_limit else "stays_at"
-        return Verdict(kind, value=qs[-1], norm=rows[-1].norm)
+        return Verdict(kind, value=qs[-1])
     tail = qs[-CONVERGENCE_WINDOW:]
     if len(tail) >= 2:
         diffs = [(tail[i + 1] - tail[i]).norm_upper()
                  for i in range(len(tail) - 1)]
         cauchy = all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
         if cauchy and (diffs[-1] < diffs[0] or diffs[-1] == 0):
-            return Verdict("converges_to", value=tail[-1], norm=rows[-1].norm)
+            return Verdict("converges_to", value=tail[-1])
     return Verdict("inconclusive")
 
 
@@ -153,25 +117,13 @@ def probe_derivative(f: PadicFunction, a: PadicNumber,
     rows = []
     fa = f(a)
     for n, x in islice(seq, steps):
-        q = (f(x) - fa) / _distinct(x, a)
-        rows.append(_row(n, (x, a), q))
+        rows.append(_row(n, (f(x) - fa) / _distinct(x, a)))
     return WitnessTrace(rows, _verdict(rows, constant_is_limit=True))
 
 
-def probe_strict(f: PadicFunction, pair_seq: Iterable, steps: int) -> WitnessTrace:
-    """Trace of Phi_1 f over a sequence of pairs ``(index, (x, y))``."""
-    rows = []
-    for n, (x, y) in islice(pair_seq, steps):
-        q = (f(x) - f(y)) / _distinct(x, y)
-        rows.append(_row(n, (x, y), q))
-    return WitnessTrace(rows, _verdict(rows, constant_is_limit=False))
-
-
-def probe_strict_order2(f: PadicFunction, triple_seq: Iterable,
-                        steps: int) -> WitnessTrace:
-    """Trace of Phi_2 f over a sequence of triples ``(index, (x, y, z))``."""
-    rows = []
-    for n, pts in islice(triple_seq, steps):
-        q = phi_r(f, pts)
-        rows.append(_row(n, tuple(pts), q))
+def probe_strict(f: PadicFunction, seq: Iterable, steps: int) -> WitnessTrace:
+    """Trace of Phi_r f over a sequence ``(index, points)``, each ``points``
+    a tuple of r + 1 pairwise distinct points: pairs give Phi_1, triples
+    Phi_2."""
+    rows = [_row(n, phi_r(f, pts)) for n, pts in islice(seq, steps)]
     return WitnessTrace(rows, _verdict(rows, constant_is_limit=False))

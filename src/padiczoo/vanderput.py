@@ -13,13 +13,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber
-
-if TYPE_CHECKING:  # quotients imports power_str from here
-    from .quotients import PadicFunction
+from .quotients import PadicFunction
 
 
 def _ilog(n: int, p: int) -> int:

@@ -19,7 +19,7 @@ from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
 from .families import IndexSet, CellEnumerator
 from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
-    probe_derivative, probe_strict, probe_strict_order2
+    probe_derivative, probe_strict
 from .vanderput import ball_exponent, criterion_products, schedule_exponent
 
 
@@ -244,7 +244,7 @@ def thm34ii_gN(N: IndexSet, p: int,
                            {"pairs": pairs, "worst_ratio": float(worst)})
 
     def claim_order2_witness(limit: int = 40) -> ClaimResult:
-        trace = probe_strict_order2(fn, triple_witness(limit), steps=limit)
+        trace = probe_strict(fn, triple_witness(limit), steps=limit)
         return _probe_claim("order2-witness", trace, lambda r: r.norm == 1,
                             {"norms": [str(r.norm) for r in trace.rows[:5]]})
 

@@ -11,8 +11,7 @@ import pytest
 
 from padiczoo.core import PadicNumber, pow_one_plus
 from padiczoo.families import CellEnumerator, IndexSet, cell, generate_family
-from padiczoo.quotients import probe_derivative, probe_strict, \
-    probe_strict_order2
+from padiczoo.quotients import probe_derivative, probe_strict
 from padiczoo.zoo import (
     Monomial,
     build_entry,
@@ -122,7 +121,7 @@ def test_criterion_03_digit_spreading():
                       PadicNumber.zero(p, w),
                       PadicNumber.from_int(p ** n + p ** n_plus, p, w))
 
-    trace = probe_strict_order2(g, triples(), steps=40)
+    trace = probe_strict(g, triples(), steps=40)
     b1 = betas[0].abs_value()
     ok = ok and bool(trace.rows) and all(r.norm == b1 for r in trace.rows)
     _report(3, "digit-spreading contraction + order-2 witness |b1|", ok)

@@ -37,6 +37,12 @@ def test_usage_error_exit_2(capsys):
     assert main(["--prime", "9", "list"]) == 2  # not a prime
 
 
+def test_format_has_no_csv_choice(capsys):
+    # `table` always writes CSV, so --format offers only text and json
+    code, out, err = run(capsys, "--format", "csv", "eval", "thm2_f", "0")
+    assert code == 2 and out == "" and "invalid choice" in err
+
+
 def test_insufficient_precision_exit_3(capsys):
     # an all-zero digit window is a precision-bounded zero: ball membership
     # for the sparse series cannot be decided

@@ -25,6 +25,32 @@ def test_prime_certification():
     assert not is_prime(2 ** 67 - 1)
 
 
+_PRIME_TAKING = {
+    "zero": lambda p: PadicNumber.zero(p, 8),
+    "one": lambda p: PadicNumber.one(p, 8),
+    "bounded_zero": lambda p: PadicNumber.bounded_zero(p, 8),
+    "from_int": lambda p: PadicNumber.from_int(2, p, 8),
+    "from_rational": lambda p: PadicNumber.from_rational(1, 2, p, 8),
+    "from_digits": lambda p: PadicNumber.from_digits(p, 0, [0], 8),
+    "from_unit": lambda p: PadicNumber.from_unit(p, 0, 1, 8),
+    "parse_padic": lambda p: parse_padic("1", p, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIME_TAKING))
+def test_every_constructor_refuses_a_composite(name):
+    make = _PRIME_TAKING[name]
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    bad = (0, 1, 4, 91, -7, 3215031751)
+    is_prime.cache_clear()
+    for _ in range(2):  # a cold cache, then one that make(3) filled
+        for n in bad:
+            with pytest.raises(DomainError):
+                make(n)
+        assert make(3).prime == 3
+    assert is_prime.cache_info().hits > 0
+
+
 def test_geometric_series_digits():
     # 1/(1-p) = 1 + p + p^2 + ... has every digit equal to 1
     x = PadicNumber.from_rational(1, 1 - 3, 3, 20)

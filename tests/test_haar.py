@@ -15,12 +15,10 @@ from padiczoo.haar import (
     Stream,
     _binomial_report,
     digit_stream,
-    estimate_E_prefix,
     estimate_E_prefix_series,
     estimate_Y0,
     pair_indicator,
     slln_report,
-    zero_pair_fraction,
 )
 from padiczoo.zoo import E_prefix_member
 
@@ -107,9 +105,6 @@ def test_pair_statistics_helpers():
     digits = [0, 0, 1, 2, 0, 0]
     assert pair_indicator(digits, 0) == 1
     assert pair_indicator(digits, 1) == 0
-    assert zero_pair_fraction(digits, 3) == pytest.approx(2 / 3)
-    with pytest.raises(DomainError):
-        zero_pair_fraction(digits, 0)
 
 
 def test_estimates_reproducible_bit_identical():
@@ -128,13 +123,6 @@ def test_estimates_close_to_targets():
         # one-pass estimates are monotone nonincreasing in k
         ests = [s.estimate for s in series]
         assert all(a >= b for a, b in zip(ests, ests[1:]))
-
-
-def test_single_k_matches_series():
-    r = estimate_E_prefix(3, 4, 2000, seed=5)
-    s = estimate_E_prefix_series(3, 4, 2000, seed=5)[3]
-    assert r.estimate == s.estimate
-    assert r.extras["k"] == 4
 
 
 def test_slln_report():

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,7 +9,6 @@ from padiczoo.quotients import (
     phi_r,
     probe_derivative,
     probe_strict,
-    probe_strict_order2,
 )
 
 
@@ -98,27 +96,26 @@ def test_order2_probe_runs():
                     PadicNumber.from_int(n + 1, p),
                     PadicNumber.from_int(n + 2, p)))
                for n in range(1, 8))
-    trace = probe_strict_order2(f, triples, steps=7)
+    trace = probe_strict(f, triples, steps=7)
     assert all(r.norm == 1 for r in trace.rows)
     assert trace.verdict.kind in ("stays_at", "converges_to")
 
 
-def test_trace_json_schema():
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_strict_probe_matches_phi_r_at_every_order(order):
     p = 3
-    f = _square(p)
-    a = PadicNumber.from_int(1, p)
-    seq = ((n, a + PadicNumber.from_int(p ** n, p)) for n in range(1, 5))
-    trace = probe_derivative(f, a, seq, steps=4)
-    doc = json.loads(trace.to_json())
-    assert doc["schema"] == 1
-    assert doc["verdict"]["kind"] == trace.verdict.kind
-    assert all(set(r) >= {"index", "inputs", "quotient", "norm"}
-               for r in doc["rows"])
-
-
-def test_norm_strings():
-    from padiczoo.quotients import _norm_str
-    assert _norm_str(3, Fraction(1, 9), True) == "3^-2"
-    assert _norm_str(3, Fraction(1, 243), False) == "<=3^-5"
-    assert _norm_str(5, Fraction(25), True) == "5^2"
-    assert _norm_str(2, Fraction(0), False) == "0"
+    f = PadicFunction(lambda x: x * x * x * x)
+    seq = [(n, tuple(PadicNumber.from_int(p ** n * (k + 1) + k, p, 40)
+                     for k in range(order + 1)))
+           for n in range(1, 7)]
+    trace = probe_strict(f, seq, steps=len(seq))
+    assert [r.index for r in trace.rows] == [n for n, _ in seq]
+    for row, (_, pts) in zip(trace.rows, seq):
+        q = phi_r(f, pts)
+        assert row.quotient == q and row.norm == q.norm_upper()
+    pts = tuple(PadicNumber.from_int(k, p) for k in range(order))
+    with pytest.raises(DomainError):
+        probe_strict(f, [(1, pts + (pts[0],))], steps=1)
+    blurred = pts[0] + PadicNumber.bounded_zero(p, 10)
+    with pytest.raises(InsufficientPrecision):
+        probe_strict(f, [(1, pts + (blurred,))], steps=1)
