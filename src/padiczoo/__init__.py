@@ -6,7 +6,6 @@ from .core import (
     InsufficientPrecision,
     PadicError,
     PadicNumber,
-    Prime,
     parse_padic,
     pow_one_plus,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "InsufficientPrecision",
     "PadicError",
     "PadicNumber",
-    "Prime",
     "parse_padic",
     "pow_one_plus",
     "IndexSet",

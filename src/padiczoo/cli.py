@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
-    Prime, parse_padic
+    is_prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
 from .vanderput import power_str
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
@@ -42,7 +42,8 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        Prime(self.prime)
+        if not is_prime(self.prime):
+            raise DomainError(f"{self.prime!r} is not a prime number")
         if self.precision < 8:
             raise DomainError("precision must be at least 8 digits")
 

@@ -64,26 +64,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
-    """A certified prime modulus."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or not is_prime(self.value):
-            raise DomainError(f"{self.value!r} is not a prime number")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-
 def _as_prime_int(p) -> int:
-    if isinstance(p, Prime):
-        return p.value
     n = int(p)
     if not is_prime(n):
         raise DomainError(f"{n!r} is not a prime number")
@@ -349,12 +330,21 @@ class PadicNumber:
         return _make(p, v, u, v + rel, ex)
 
     def __pow__(self, k: int) -> "PadicNumber":
+        """x**k by one modular power: a unit known mod p**rel fixes its
+        k-th power mod p**rel, so x**k keeps every digit x fixes."""
         if not isinstance(k, int) or k < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        out = PadicNumber.one(self.prime, self.abs_precision + 4)
-        for _ in range(k):
-            out = out * self
-        return out
+        p = self.prime
+        if k == 0:
+            return PadicNumber.one(p, self.abs_precision)
+        if self.is_exact_zero:
+            return self
+        if self.is_bounded_zero:
+            return PadicNumber.bounded_zero(p, k * self.abs_precision)
+        rel = self.abs_precision - self.valuation
+        ex = self.exact ** k if self.exact is not None else None
+        return _make(p, k * self.valuation, pow(self.unit, k, p ** rel),
+                     k * self.valuation + rel, ex)
 
     # -- comparison ----------------------------------------------------------
 
@@ -364,11 +354,6 @@ class PadicNumber:
         if d.is_zero_like:
             return True
         return d.valuation >= min(self.abs_precision, other.abs_precision)
-
-    def exactly_equals(self, other: "PadicNumber") -> bool:
-        if self.exact is None or other.exact is None:
-            raise DomainError("exact comparison needs values built from rationals")
-        return self.prime == other.prime and self.exact == other.exact
 
     # -- rendering -------------------------------------------------------------
 

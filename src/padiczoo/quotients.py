@@ -66,20 +66,17 @@ def _distinct(a: PadicNumber, b: PadicNumber) -> PadicNumber:
 
 
 def phi_r(f: PadicFunction, points: Sequence[PadicNumber]) -> PadicNumber:
-    """r-th difference quotient at r+1 pairwise distinct points."""
+    """r-th difference quotient at r+1 pairwise distinct points, from r + 1
+    evaluations of f by the recurrence
+    Phi(x_i, x_k, ..., x_r) = (Phi(x_i, x_k+1, ...) - Phi(x_k, x_k+1, ...))
+    / (x_i - x_k), run from k = r down to 1."""
     pts = tuple(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            _distinct(pts[i], pts[j])
-    return _phi(f, pts)
-
-
-def _phi(f: PadicFunction, pts: tuple) -> PadicNumber:
-    if len(pts) == 1:
-        return f(pts[0])
-    a = _phi(f, (pts[0],) + pts[2:])
-    b = _phi(f, pts[1:])
-    return (a - b) / _distinct(pts[0], pts[1])
+    gap = {(i, j): _distinct(pts[i], pts[j])
+           for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    vals = [f(x) for x in pts]
+    for k in range(len(pts) - 1, 0, -1):
+        vals = [(vals[i] - vals[k]) / gap[i, k] for i in range(k)]
+    return vals[0]
 
 
 def _row(index: int, q: PadicNumber) -> TraceRow:

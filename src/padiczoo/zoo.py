@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber, pow_one_plus
-from .families import IndexSet, CellEnumerator
+from .families import IndexSet
 from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
     probe_derivative, probe_strict
@@ -144,14 +144,14 @@ def thm34i_fN(N: IndexSet, p: int,
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
     def pair_witness(limit: int) -> Iterator:
-        for n in _upto(CellEnumerator([N], [1]), limit):
+        for n in _upto(N.members(), limit):
             w = max(precision, 2 * n + 4)
             x = PadicNumber.from_rational(p ** n, 1, p, w)
             y = PadicNumber.from_rational(p ** n - p ** (2 * n), 1, p, w)
             yield n, (x, y)
 
     def seq_witness(limit: int) -> Iterator:
-        for n in _upto(CellEnumerator([N], [1]), limit):
+        for n in _upto(N.members(), limit):
             w = max(precision, 2 * n + 4)
             yield n, PadicNumber.from_rational(p ** n, 1, p, w)
 
@@ -214,9 +214,8 @@ def thm34ii_gN(N: IndexSet, p: int,
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
     def triple_witness(limit: int) -> Iterator:
-        cell = CellEnumerator([N], [1])
-        for n in _upto(cell, limit):
-            n_plus = cell.next_after(n)
+        for n in _upto(N.members(), limit):
+            n_plus = next(N.members(n + 1))
             w = max(precision, 2 * n_plus + 4)
             x = PadicNumber.from_rational(p ** n, 1, p, w)
             y = PadicNumber.zero(p, w)
@@ -421,6 +420,27 @@ def _head_and_offset(x: PadicNumber, p: int) -> Optional[tuple]:
     return n, x - head
 
 
+def _shell_sum(terms: Sequence[tuple], p: int,
+               precision: int) -> PadicFunction:
+    """The shell function sum c p**(-n d) (1+y)**alpha over the terms
+    (d, c, alpha), at x = head + y with |head| = p**n >= 1 and y in pZ_p;
+    zero on pZ_p.  A coefficient c of None stands for 1."""
+    alphas = [a for _, _, a in terms]
+
+    def evaluate(x: PadicNumber) -> PadicNumber:
+        split = _head_and_offset(_expand(x, precision), p)
+        if split is None:
+            return PadicNumber.zero(p, precision)
+        n, y = split
+        gammas = []
+        for d, c, _ in terms:
+            scale = PadicNumber.from_rational(1, p ** (n * d), p, precision)
+            gammas.append(scale if c is None else scale * c)
+        return _sum_of_powers(gammas, alphas, y, precision)
+
+    return PadicFunction(evaluate, domain_tag="Qp")
+
+
 def thm16_fbeta(beta: PadicNumber, p: int,
                 precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """On each shell x = head + y with |head| = p**n >= 1 and y in pZ_p the
@@ -430,35 +450,16 @@ def thm16_fbeta(beta: PadicNumber, p: int,
         raise DomainError("exponent must be nonzero")
     if beta.valuation < 0:
         raise DomainError("exponent must lie in Z_p")
-    one = PadicNumber.one(p, precision)
-
-    def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
-        split = _head_and_offset(x, p)
-        if split is None:
-            return PadicNumber.zero(p, precision)
-        n, y = split
-        scale = PadicNumber.from_rational(1, p ** n, p, precision)
-        return scale * pow_one_plus(y, beta, precision)
-
-    def derivative(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
-        split = _head_and_offset(x, p)
-        if split is None:
-            return PadicNumber.zero(p, precision)
-        n, y = split
-        scale = PadicNumber.from_rational(1, p ** n, p, precision)
-        return scale * beta * pow_one_plus(y, beta - one, precision)
-
-    fn = PadicFunction(evaluate, domain_tag="Qp")
-    dfn = PadicFunction(derivative, domain_tag="Qp")
+    fn = _shell_sum([(1, None, beta)], p, precision)
+    dfn = _shell_sum([(1, beta, beta - PadicNumber.one(p, precision))], p,
+                     precision)
 
     def claim_unbounded_derivative(limit: int = 20) -> ClaimResult:
         beta_norm = beta.abs_value()
         for n in range(1, limit + 1):
             x = PadicNumber.from_rational(1, p ** n, p, precision)
             want = beta_norm * Fraction(p) ** n
-            got = derivative(x).abs_value()
+            got = dfn(x).abs_value()
             if got != want:
                 return ClaimResult("unbounded-derivative", False,
                                    {"n": n, "got": str(got)})
@@ -469,7 +470,7 @@ def thm16_fbeta(beta: PadicNumber, p: int,
         draw = Stream(seed)
         for _ in range(samples):
             y = draw.zp(p, precision, min_valuation=1)
-            if not evaluate(y).is_exact_zero:
+            if not fn(y).is_exact_zero:
                 return ClaimResult("zero-on-pzp", False, {"y": y.render()})
         return ClaimResult("zero-on-pzp", samples >= 1, {"samples": samples})
 
@@ -536,9 +537,9 @@ class Monomial:
 
 
 def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
-                 precision: int = DEFAULT_PRECISION,
-                 search_depth: int = 2) -> ZooEntry:
-    """Polynomial (no free term) in zoo functions, evaluated pointwise.
+                 precision: int = DEFAULT_PRECISION) -> ZooEntry:
+    """Polynomial (no free term) in zoo functions, evaluated pointwise: the
+    one evaluator of combinations of entries.
 
     When every entry is a ``thm16_fbeta`` shell (has a ``beta``) the
     composed derivative is attached in closed form; the aggregate exponents
@@ -570,21 +571,21 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
         for m in monomials:
             term = m.coefficient
             for v, k in zip(vals, m.exponents):
-                term = term * v ** k
+                if k:
+                    term = term * v ** k
             total = total + term
         return total
 
     derivative, claims = None, {}
     betas = [e.beta for e in entries]
     if all(b is not None for b in betas):
-        derivative, claims = _shell_derivative(monomials, betas, p,
-                                               precision, search_depth)
-    return ZooEntry("poly", p, PadicFunction(evaluate, domain_tag="Qp"),
-                    derivative, claims=claims)
+        derivative, claims = _shell_derivative(monomials, betas, p, precision)
+    fn = PadicFunction(evaluate, domain_tag=entries[0].function.domain_tag)
+    return ZooEntry("poly", p, fn, derivative, claims=claims)
 
 
-def _shell_derivative(monomials, betas, p, precision,
-                      search_depth) -> tuple[PadicFunction, dict]:
+def _shell_derivative(monomials, betas, p,
+                      precision) -> tuple[PadicFunction, dict]:
     """The closed-form derivative of a polynomial in shell entries with
     exponents ``betas``, and its derivative-norm-growth claim."""
     one = PadicNumber.one(p, precision)
@@ -602,34 +603,21 @@ def _shell_derivative(monomials, betas, p, precision,
                 raise DomainError(
                     "aggregate exponents must be pairwise distinct")
 
-    def derivative(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
-        split = _head_and_offset(x, p)
-        if split is None:
-            return PadicNumber.zero(p, precision)
-        n, y = split
-        total = PadicNumber.zero(p, precision)
-        for m, beta_r in zip(monomials, agg):
-            scale = PadicNumber.from_rational(1, p ** (n * m.degree), p,
-                                              precision)
-            total = total + scale * m.coefficient * beta_r \
-                * pow_one_plus(y, beta_r - one, precision)
-        return total
-
-    # leading degree group for the norm-growth claim
-    degrees = sorted({m.degree for m in monomials}, reverse=True)
-    groups = {d: [(m, b) for m, b in zip(monomials, agg) if m.degree == d]
-              for d in degrees}
+    # d/dx of c (shell)**beta_r is c beta_r p**(-n d) (1+y)**(beta_r - 1)
+    terms = [(m.degree, m.coefficient * b, b - one)
+             for m, b in zip(monomials, agg)]
+    degrees = sorted({d for d, _, _ in terms}, reverse=True)
+    # per degree, the coefficients and exponents of its terms
+    groups = {d: ([c for e, c, _ in terms if e == d],
+                  [a for e, _, a in terms if e == d]) for d in degrees}
+    derivative = _shell_sum(terms, p, precision)
 
     def claim_derivative_norm_growth(n_max: int = 20) -> ClaimResult:
         k1 = degrees[0]
-        lead = groups[k1]
-        gammas = [m.coefficient * b for m, b in lead]
-        alphas = [b - one for m, b in lead]
+        gammas, alphas = groups[k1]
         y1 = PadicNumber.zero(p, precision)
         if _sum_of_powers(gammas, alphas, y1, precision).is_zero_like:
-            y1 = check_nonconstant_combination(gammas, alphas, search_depth,
-                                               precision)
+            y1 = check_nonconstant_combination(gammas, alphas, 2, precision)
         if y1 is None:
             return ClaimResult("derivative-norm-growth", False,
                                {"reason": "no nonvanishing witness found"})
@@ -637,9 +625,7 @@ def _shell_derivative(monomials, betas, p, precision,
         # first n from which the leading group dominates every other group
         n0 = 1
         for d in degrees[1:]:
-            gs = [m.coefficient * b for m, b in groups[d]]
-            as_ = [b - one for m, b in groups[d]]
-            s = _sum_of_powers(gs, as_, y1, precision)
+            s = _sum_of_powers(*groups[d], y1, precision)
             if s.is_zero_like:
                 continue
             sn = s.abs_value()
@@ -657,8 +643,7 @@ def _shell_derivative(monomials, betas, p, precision,
             "n0": n0, "n_max": n_max, "leading_degree": k1,
             "constant_norm": float(c), "witness": y1.render()})
 
-    return PadicFunction(derivative, domain_tag="Qp"), {
-        "derivative-norm-growth": claim_derivative_norm_growth}
+    return derivative, {"derivative-norm-growth": claim_derivative_norm_growth}
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +713,10 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
     """Sum of the shell function and the pinched branch around ``a``:
     continuous everywhere, differentiable except at a, derivative unbounded
     both near and far from a."""
-    f_entry = thm16_fbeta(beta, p, precision)
-    g_entry = cor15_gbeta(beta, a, p, precision)
-
-    def evaluate(x: PadicNumber) -> PadicNumber:
-        return f_entry.function(x) + g_entry.function(x)
+    one = PadicNumber.one(p, precision)
+    evaluate = linear_combination([thm16_fbeta(beta, p, precision),
+                                   cor15_gbeta(beta, a, p, precision)],
+                                  [one, one], precision).function
 
     def claim_quotient_growth(limit: int = 6) -> ClaimResult:
         fa = evaluate(a)
@@ -765,8 +749,7 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
         return ClaimResult("continuity-at-center", checked > 0,
                            {"limit": limit})
 
-    return ZooEntry(cor15_Fbeta.__name__, p,
-                    PadicFunction(evaluate, domain_tag="Qp"), claims={
+    return ZooEntry(cor15_Fbeta.__name__, p, evaluate, claims={
                         "quotient-growth": claim_quotient_growth,
                         "continuity-at-center": claim_continuity_at_center,
                     })
@@ -994,19 +977,14 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
 def linear_combination(entries: Sequence[ZooEntry],
                        coeffs: Sequence[PadicNumber],
                        precision: int = DEFAULT_PRECISION) -> ZooEntry:
-    """Pointwise sum of coeff_i * entry_i."""
+    """Pointwise sum of coeff_i * entry_i: the ``poly_combine`` of the
+    degree-one monomials."""
     if len(entries) != len(coeffs):
         raise DomainError("need one coefficient per entry")
-    p = entries[0].prime
-
-    def evaluate(x: PadicNumber) -> PadicNumber:
-        total = PadicNumber.zero(p, precision)
-        for c, e in zip(coeffs, entries):
-            total = total + c * e.function(x)
-        return total
-
-    return ZooEntry("combination", p, PadicFunction(
-        evaluate, domain_tag=entries[0].function.domain_tag))
+    k = len(entries)
+    return poly_combine(entries, [
+        Monomial(c, tuple(int(i == j) for j in range(k)))
+        for i, c in enumerate(coeffs)], precision)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_06_composed_derivative_growth():
     ]
     ok = True
     for monomials in cases:
-        comb = poly_combine(entries, monomials, 64, search_depth=2)
+        comb = poly_combine(entries, monomials, 64)
         r = comb.run_claim("derivative-norm-growth", n_max=20)
         if not r.passed:
             ok = False

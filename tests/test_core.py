@@ -8,7 +8,6 @@ from padiczoo.core import (
     DomainError,
     InsufficientPrecision,
     PadicNumber,
-    Prime,
     is_prime,
     parse_padic,
     pow_one_plus,
@@ -16,11 +15,6 @@ from padiczoo.core import (
 
 
 def test_prime_certification():
-    assert Prime(2).value == 2
-    assert Prime(97).value == 97
-    for bad in (0, 1, 4, 91, -7):
-        with pytest.raises(DomainError):
-            Prime(bad)
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 67 - 1)
 
@@ -67,6 +61,51 @@ def test_abs_value():
         PadicNumber.bounded_zero(3, 8).abs_value()
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), v=st.integers(-12, 12),
+       rel=st.integers(1, 40), unit=st.integers(1, 10 ** 30),
+       k=st.integers(1, 6), exact=st.booleans())
+def test_pow_is_one_modular_power(p, v, rel, unit, k, exact):
+    if unit % p == 0:
+        unit += 1
+    if exact:
+        x = PadicNumber.from_rational(unit * p ** max(v, 0), p ** max(-v, 0),
+                                      p, v + rel)
+    else:
+        x = PadicNumber.from_unit(p, v, unit, v + rel)
+    product = x
+    for _ in range(k - 1):
+        product = product * x
+    assert x ** k == product  # every field, the exact rational included
+    assert x ** 1 == x
+    # a loop from one(p, abs_precision + 4) cuts the digits of a value
+    # with valuation below -4; the power keeps them
+    loop = PadicNumber.one(p, x.abs_precision + 4)
+    for _ in range(k):
+        loop = loop * x
+    if x.valuation >= -4:
+        assert x ** k == loop
+    else:
+        assert (x ** k).agrees_with(loop)
+        # one(p, n) keeps one digit when n < 1, so x with one digit ties
+        assert (x ** k).abs_precision > loop.abs_precision or rel == 1
+
+
+def test_pow_keeps_every_digit_and_zero_states():
+    x = PadicNumber.from_unit(3, -6, 2, 10)
+    y = x ** 2
+    assert (y.valuation, y.unit, y.abs_precision) == (-12, 4, 4)
+    b = PadicNumber.bounded_zero(5, 7)
+    assert b ** 3 == PadicNumber.bounded_zero(5, 21)
+    z = PadicNumber.zero(5, 9)
+    assert z ** 4 is z
+    for w in (x, b, z):
+        one = w ** 0
+        assert one.exact == 1 and one.unit == 1
+    with pytest.raises(DomainError):
+        x ** -1
+
+
 def test_zero_states():
     z = PadicNumber.zero(5)
     b = PadicNumber.bounded_zero(5, 10)
@@ -75,7 +114,7 @@ def test_zero_states():
     assert b.norm_upper() == Fraction(5) ** -10
     # exact zero absorbs addition exactly
     x = PadicNumber.from_int(7, 5)
-    assert (x + z).exactly_equals(x)
+    assert (x + z).exact == x.exact
 
 
 def test_value_below_the_window():

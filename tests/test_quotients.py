@@ -119,3 +119,33 @@ def test_strict_probe_matches_phi_r_at_every_order(order):
     blurred = pts[0] + PadicNumber.bounded_zero(p, 10)
     with pytest.raises(InsufficientPrecision):
         probe_strict(f, [(1, pts + (blurred,))], steps=1)
+
+
+def _phi_recursive(f, pts):
+    """Reference: the Newton recursion, 2**r evaluations of f."""
+    if len(pts) == 1:
+        return f(pts[0])
+    a = _phi_recursive(f, (pts[0],) + pts[2:])
+    b = _phi_recursive(f, pts[1:])
+    return (a - b) / (pts[0] - pts[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_phi_r_evaluates_f_once_per_point(p, r, rng):
+    calls = []
+
+    def cube_plus(x):
+        calls.append(x)
+        return x * x * x + x
+
+    f = PadicFunction(cube_plus)
+    for _ in range(5):
+        pts = tuple(rng.nonzero(p, 24, (-2, 4)) for _ in range(r + 1))
+        if any((a - b).is_zero_like for i, a in enumerate(pts)
+               for b in pts[i + 1:]):
+            continue
+        calls.clear()
+        got = phi_r(f, pts)
+        assert len(calls) == r + 1
+        assert got == _phi_recursive(f, pts)

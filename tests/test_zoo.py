@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from padiczoo.core import DomainError, InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
 from padiczoo.haar import Stream
-from padiczoo.vanderput import ball_exponent, criterion_products
+from padiczoo.quotients import PadicFunction
+from padiczoo.vanderput import ball_exponent, criterion_products, decompose
 from padiczoo.zoo import (
     ENTRY_NAMES,
     E_prefix_member,
     BallSystem,
     Monomial,
+    ZooEntry,
     build_entry,
     check_nonconstant_combination,
     cor15_Fbeta,
@@ -144,6 +146,27 @@ def test_lip_zero_and_off_ball():
                                         and same.is_exact_zero)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("bit", [0, 1, 2])
+def test_lip_function_has_the_claimed_coefficients(p, bit):
+    # n1-decay and lip2-unbounded read the schedule, not the function: the
+    # van der Put coefficients of the function must be the schedule's
+    N = IndexSet(3, bit, 0)
+    series = decompose(lip_fN(N, p).function, p)
+    centres = {}
+    for n, k, m, norm in lip_coefficient_rows(N, p, 300):
+        if k > 300:
+            break
+        centres[k] = norm
+    for k in range(301):
+        a = series.coeff(k)
+        if centres.get(k, 0) == 0:
+            assert a.is_exact_zero, k
+        else:
+            assert a.abs_value() == centres[k], k
+    assert any(centres.values()) and 0 in centres.values()
+
+
 def test_lip_claims_reduced():
     e = build_entry("lip_fN", 2)
     assert e.run_claim("n1-decay", n_limit=500).passed
@@ -266,7 +289,7 @@ def test_poly_combine_growth_claim():
     mono = [Monomial(one, (2, 0, 0)),
             Monomial(PadicNumber.from_int(2, p, 64), (0, 1, 1)),
             Monomial(one, (1, 0, 0))]
-    comb = poly_combine(entries, mono, 64, search_depth=2)
+    comb = poly_combine(entries, mono, 64)
     r = comb.run_claim("derivative-norm-growth", n_max=12)
     assert r.passed and r.details["leading_degree"] == 2
     assert not comb.run_claim("derivative-norm-growth", n_max=0).passed
@@ -414,6 +437,43 @@ def test_linear_combination():
     x = PadicNumber.from_int(p ** 2, p, 64)
     assert comb.function(x).agrees_with(
         c2 * PadicNumber.from_int(p ** 4, p))
+
+
+def test_linear_combination_is_the_degree_one_polynomial():
+    p = 3
+    one = PadicNumber.one(p, 64)
+    two = PadicNumber.from_int(2, p)
+    steps = [build_entry("thm34i", p, member_bit=b) for b in (0, 1)]
+    comb = linear_combination(steps, [two, one])
+    poly = poly_combine(steps, [Monomial(two, (1, 0)), Monomial(one, (0, 1))])
+    for k in range(1, 8):
+        x = PadicNumber.from_int(p ** k, p, 64)
+        assert comb.function(x) == poly.function(x)
+    with pytest.raises(DomainError):  # a zero-like coefficient is refused
+        linear_combination(steps, [two, PadicNumber.bounded_zero(p, 8)])
+    shells = [build_entry("thm16", p, beta=PadicNumber.from_int(b, p))
+              for b in (1, 4)]
+    comb = linear_combination(shells, [two, one])
+    x = PadicNumber.from_rational(1, p ** 3, p, 64)
+    want = two * shells[0].derivative(x) + shells[1].derivative(x)
+    assert comb.derivative(x) == want
+    with pytest.raises(DomainError):  # repeated shell exponents
+        linear_combination([shells[0], shells[0]], [two, one])
+
+
+def test_poly_combine_skips_exponent_zero_factors():
+    # a factor v**0 taken as a product with one(p, abs_precision + 4)
+    # would cut the term to the few digits of v
+    p = 3
+    coarse = ZooEntry("coarse", p, PadicFunction(
+        lambda x: PadicNumber.from_unit(p, 0, 1, 2)))
+    fine = ZooEntry("fine", p, PadicFunction(
+        lambda x: PadicNumber.from_unit(p, 0, 2, 40)))
+    two = PadicNumber.from_int(2, p)
+    poly = poly_combine([coarse, fine], [Monomial(two, (0, 1))])
+    x = PadicNumber.one(p)
+    assert poly.function(x) == two * fine.function(x)
+    assert poly.function(x).abs_precision == 40
 
 
 def test_registry_complete():
@@ -601,7 +661,7 @@ def test_claims_refuse_bad_sizes():
     one = PadicNumber.one(p, 64)
     shells = [thm16_fbeta(PadicNumber.from_int(b, p, 64), p, 64)
               for b in (1, 4)]
-    poly = poly_combine(shells, [Monomial(one, (1, 1))], 64, search_depth=2)
+    poly = poly_combine(shells, [Monomial(one, (1, 1))], 64)
     sizes = []
     for e in [build_entry(name, p) for name in ENTRY_NAMES] + [poly]:
         for claim, fn in e.claims.items():
