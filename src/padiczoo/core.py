@@ -15,6 +15,7 @@ be re-expanded to any precision on demand.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +118,8 @@ class PadicNumber:
 
     @staticmethod
     def from_int(n: int, p, abs_precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        return PadicNumber.from_rational(n, 1, p, abs_precision)
+        return _from_exact(_as_prime_int(p), Fraction(operator.index(n)),
+                           abs_precision)
 
     @staticmethod
     def one(p, abs_precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -236,13 +238,20 @@ class PadicNumber:
             f"all digits below p^{self.abs_precision} vanish; "
             "the absolute value is unresolved")
 
+    def valuation_bound(self) -> Optional[int]:
+        """The v with ``norm_upper() == p**-v``: the valuation of a value
+        with a nonzero digit, the precision of a bounded zero, and None for
+        an exact zero."""
+        if self.unit != 0:
+            return self.valuation
+        if self.is_exact_zero:
+            return None
+        return self.abs_precision
+
     def norm_upper(self) -> Fraction:
         """An upper bound for |x|_p valid in every state."""
-        if self.unit != 0:
-            return Fraction(self.prime) ** (-self.valuation)
-        if self.is_exact_zero:
-            return Fraction(0)
-        return Fraction(self.prime) ** (-self.abs_precision)
+        v = self.valuation_bound()
+        return Fraction(0) if v is None else Fraction(self.prime) ** (-v)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -261,30 +270,35 @@ class PadicNumber:
                      self.abs_precision, ex)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
+        return self._add(other, 1)
+
+    def __sub__(self, other: "PadicNumber") -> "PadicNumber":
+        return self._add(other, -1)
+
+    def _add(self, other: "PadicNumber", sign: int) -> "PadicNumber":
+        """self + sign * other, normalized once."""
         self._check_same_prime(other)
         p = self.prime
         if self.is_exact_zero:
-            return other
+            return other if sign > 0 else -other
         if other.is_exact_zero:
             return self
         n = min(self.abs_precision, other.abs_precision)
         if self.is_bounded_zero or other.is_bounded_zero:
-            keep = other if self.is_bounded_zero else self
+            keep, s = (other, sign) if self.is_bounded_zero else (self, 1)
             if keep.unit == 0:
                 return PadicNumber.bounded_zero(p, n)
-            return _make(p, keep.valuation, keep.unit, n)
+            return _make(p, keep.valuation, s * keep.unit, n)
         v0 = min(self.valuation, other.valuation)
         if n <= v0:
             raise InsufficientPrecision("no shared digits in sum")
-        a = (self.unit * p ** (self.valuation - v0)
-             + other.unit * p ** (other.valuation - v0))
+        a = self.unit * p ** (self.valuation - v0)
+        b = other.unit * p ** (other.valuation - v0)
         ex = None
         if self.exact is not None and other.exact is not None:
-            ex = self.exact + other.exact
-        return _make(p, v0, a, n, ex)
-
-    def __sub__(self, other: "PadicNumber") -> "PadicNumber":
-        return self + (-other)
+            ex = self.exact + other.exact if sign > 0 \
+                else self.exact - other.exact
+        return _make(p, v0, a + b if sign > 0 else a - b, n, ex)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -391,6 +405,11 @@ def _make(p: int, v: int, unit: int, abs_precision: int,
 def _from_exact(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
     if q == 0:
         return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
+    if q.denominator == 1:
+        n = q.numerator
+        v = ord_int(n, p)
+        rel = max(abs_precision - v, 1)
+        return PadicNumber(p, v, n // p ** v % p ** rel, v + rel, q)
     v = _ord_fraction(q, p)
     # a value below the window widens it so the leading digit is visible
     rel = max(abs_precision - v, 1)

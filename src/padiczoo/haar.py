@@ -3,8 +3,10 @@
 Sampling is counter-based and fully reproducible: digit block j of sample i
 under seed s is the sha256 of (s mod 2**64, i, j, p), so estimates are
 bit-identical across runs and platforms for a fixed seed.  The estimators
-hash blocks on demand: a draw's E-prefix scan hashes block j + 1 only when
-the pairs of blocks 0..j held no zero pair, and Y0 reads only block 0.
+hash blocks on demand and read each digit pair straight from the words of
+a block: a draw's E-prefix scan hashes block j + 1 only when the pairs of
+blocks 0..j held no zero pair, and Y0 reads only block 0.  The tests check
+them against a reader that expands each draw digit by digit.
 ``Stream`` draws whole residues from the same counter for every other
 random point in the package.
 """
@@ -16,7 +18,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import DomainError, PadicNumber
 
@@ -24,7 +26,9 @@ DIGITS_PER_BLOCK = 8
 PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
 
 # one block is the digest of the message (seed mod 2**64, sample, block, p)
-# read as eight big-endian 32-bit words; word t reduced mod p is digit t
+# read as eight big-endian 32-bit words; word t reduced mod p is digit t,
+# so p must be below 2**32, and the bias, below p / 2**32, is far under
+# Monte Carlo noise for small p
 _pack_message = struct.Struct(">QQQQ").pack
 _unpack_words = struct.Struct(">8I").unpack
 _SEED_MASK = 2 ** 64 - 1
@@ -46,26 +50,6 @@ def _check_prime_fits(p: int) -> None:
     if p >= 2 ** 32:
         raise DomainError(f"p={p} is not below 2**32: digits are drawn as "
                           "32-bit words reduced mod p")
-
-
-def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
-    """Eight uniform digits from one hash invocation.
-
-    Each digit is a 32-bit word reduced mod p, so p must be below 2**32;
-    the bias is below p / 2**32, far under Monte Carlo noise for small p.
-    """
-    h = hashlib.sha256(_pack_message(seed & _SEED_MASK, sample, block,
-                                     p)).digest()
-    return [w % p for w in _unpack_words(h)]
-
-
-def digit_stream(seed: int, sample: int, p: int) -> Iterator[int]:
-    """Digits d_0, d_1, ... of one Haar-uniform draw from Z_p."""
-    _check_prime_fits(p)
-    block = 0
-    while True:
-        yield from _block_digits(seed, sample, block, p)
-        block += 1
 
 
 class Stream:
@@ -123,11 +107,6 @@ class Stream:
             unit += (d + 1) * scale
             scale *= p * p
         return PadicNumber.from_unit(p, 0, unit, 2 * pairs)
-
-
-def pair_indicator(digits: list[int], i: int) -> int:
-    """Y_i = 1 iff digit pair i of the draw is (0, 0)."""
-    return 1 if digits[2 * i] == 0 and digits[2 * i + 1] == 0 else 0
 
 
 @dataclass(frozen=True)

@@ -187,12 +187,17 @@ def thm34ii_gN(N: IndexSet, p: int,
     differentiable with zero derivative; second difference quotients along
     the canonical triples have constant norm."""
 
+    # digits are read in machine-word limbs of k digits: p**k < 2**62
+    k = max(1, 62 // p.bit_length())
+    limb, limb_out = p ** k, p ** (2 * k)
+
     @functools.lru_cache(maxsize=64)
-    def terms(v: int, hi: int) -> tuple:
-        """(index into the digits of a value with valuation v, p**2n) for
-        each n in N within [max(0, v), hi)."""
-        return tuple((n - v, p ** (2 * n))
-                     for n in range(max(0, v), hi) if n in N)
+    def limb_members(low: int, hi: int) -> tuple:
+        """For each limb of the digits low, low+1, ... below hi, the pairs
+        (p**j, p**2j) over the member offsets j in that limb."""
+        return tuple(tuple((p ** (n - a), p ** (2 * (n - a)))
+                           for n in range(a, min(a + k, hi)) if n in N)
+                     for a in range(low, hi, k))
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
@@ -205,11 +210,20 @@ def thm34ii_gN(N: IndexSet, p: int,
         hi = x.abs_precision
         if hi <= 0:
             raise InsufficientPrecision("no nonnegative digits known")
-        digits = x.digits
-        total = sum(digits[i] * w for i, w in terms(x.valuation, hi))
+        # the digits from position low = max(0, v) upward, read only at
+        # the members and combined by Horner's rule in p**2k
+        low = max(0, x.valuation)
+        u = x.unit // p ** (low - x.valuation)
+        sums = []
+        for members in limb_members(low, hi):
+            u, w = divmod(u, limb)
+            sums.append(sum([w // pj % p * w2 for pj, w2 in members]))
+        total = 0
+        for s in reversed(sums):
+            total = total * limb_out + s
         if total == 0:
             return PadicNumber.bounded_zero(p, 2 * hi)
-        return PadicNumber.from_unit(p, 0, total, 2 * hi)
+        return PadicNumber.from_unit(p, 0, total * p ** (2 * low), 2 * hi)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
@@ -223,8 +237,10 @@ def thm34ii_gN(N: IndexSet, p: int,
             yield n, (x, y, z)
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
+        # with |g(x) - g(y)| <= p**-e, the ratio of that bound to
+        # |x - y|**2 is p**(2 v(x - y) - e); worst is its largest exponent
         draw = Stream(seed)
-        worst, checked = Fraction(0), 0
+        worst, checked = None, 0
         for _ in range(pairs):
             x = draw.zp(p, precision)
             y = draw.zp(p, precision)
@@ -232,15 +248,18 @@ def thm34ii_gN(N: IndexSet, p: int,
             if d.is_zero_like:
                 continue
             checked += 1
-            lhs = (evaluate(x) - evaluate(y)).norm_upper()
-            rhs = d.abs_value() ** 2
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
-            if lhs > rhs:
+            e = (evaluate(x) - evaluate(y)).valuation_bound()
+            if e is None:  # an exact zero: the ratio is 0
+                continue
+            excess = 2 * d.valuation - e
+            if worst is None or excess > worst:
+                worst = excess
+            if excess > 0:
                 return ClaimResult("contraction", False,
                                    {"x": x.render(), "y": y.render()})
+        ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
         return ClaimResult("contraction", checked > 0,
-                           {"pairs": pairs, "worst_ratio": float(worst)})
+                           {"pairs": pairs, "worst_ratio": ratio})
 
     def claim_order2_witness(limit: int = 40) -> ClaimResult:
         trace = probe_strict(fn, triple_witness(limit), steps=limit)
@@ -548,14 +567,12 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
     """
     if not monomials:
         raise DomainError("polynomial must have at least one monomial")
-    if len(monomials) == 1 and monomials[0].degree == 1 \
-            and monomials[0].coefficient.exact == 1:
-        i = monomials[0].exponents.index(1)
-        return entries[i]
     seen = set()
     for m in monomials:
         if len(m.exponents) != len(entries):
             raise DomainError("exponent tuple length must match entries")
+        if any(k < 0 for k in m.exponents):
+            raise DomainError("exponents must be nonnegative")
         if m.degree < 1:
             raise DomainError("free term is not allowed")
         if m.coefficient.is_zero_like:
@@ -563,16 +580,22 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
         if m.exponents in seen:
             raise DomainError("exponent tuples must be pairwise distinct")
         seen.add(m.exponents)
+    if len(monomials) == 1 and monomials[0].degree == 1 \
+            and monomials[0].coefficient.exact == 1:
+        return entries[monomials[0].exponents.index(1)]
     p = entries[0].prime
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         vals = [e.function(x) for e in entries]
         total = PadicNumber.zero(p, precision)
         for m in monomials:
-            term = m.coefficient
+            # an exact-1 coefficient is no factor: its product would cut
+            # the term to the coefficient's digits
+            term = None if m.coefficient.exact == 1 else m.coefficient
             for v, k in zip(vals, m.exponents):
                 if k:
-                    term = term * v ** k
+                    f = v if k == 1 else v ** k
+                    term = f if term is None else term * f
             total = total + term
         return total
 
@@ -891,18 +914,22 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             raise InsufficientPrecision(
                 f"continuity modulus up to m = {m_max} needs "
                 f"{2 * m_max + 2} digits")
+        # norm_upper(z) < p**-(2m+1) iff z is an exact zero or
+        # valuation_bound(z) > 2m+1
         draw = Stream(seed)
         checked = 0
         for i in range(pairs):
             m = 1 + i % m_max
-            bound = Fraction(p) ** (-(2 * m + 1))
             x = draw.zp(p, precision)
-            y = x + draw.zp(p, precision, min_valuation=2 * m + 2)
-            if (x - y).norm_upper() >= bound:
+            offset = draw.zp(p, precision, min_valuation=2 * m + 2)
+            y = x + offset
+            # y - x is the offset, known to the same precision as x
+            v = offset.valuation_bound()
+            if v is not None and v <= 2 * m + 1:
                 continue
             checked += 1
-            d = (evaluate(x) - evaluate(y)).norm_upper()
-            if d >= bound:
+            e = (evaluate(x) - evaluate(y)).valuation_bound()
+            if e is not None and e <= 2 * m + 1:
                 return ClaimResult("continuity-modulus", False,
                                    {"m": m, "x": x.render()})
         return ClaimResult("continuity-modulus", checked > 0,

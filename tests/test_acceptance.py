@@ -209,15 +209,17 @@ def test_criterion_07_sphere_ratios():
 
 
 def test_criterion_08_truncation_function():
+    t0 = time.monotonic()
     f = build_entry("thm2_f", 3)
     r1 = f.run_claim("continuity-modulus", pairs=10_000, m_max=10)
     r2 = f.run_claim("deviation", steps=10)
     g = build_entry("thm2_g", 3)
     r3 = g.run_claim("quotient-norm-one", limit=40)
+    elapsed = time.monotonic() - t0
     ok = r1.passed and r2.passed and r3.passed \
         and r3.details["steps"] == 40
     _report(8, "pair truncation: modulus, deviation >= p^-2, "
-               "quotient norms 1", ok)
+               "quotient norms 1", ok and elapsed < 3.0, f"{elapsed:.2f}s")
 
 
 def test_criterion_09_haar_mc():

@@ -8,7 +8,10 @@ from padiczoo.core import (
     DomainError,
     InsufficientPrecision,
     PadicNumber,
+    _from_exact,
+    _ord_fraction,
     is_prime,
+    ord_int,
     parse_padic,
     pow_one_plus,
 )
@@ -387,3 +390,82 @@ def test_pow_one_plus_matches_binomial_series(p, n, data):
             assert ref.residue(m) == got.residue(m), k
         return
     assert _state(got) == _state(want)
+
+
+# --- integer valuations, integer exact values, one subtraction -----------------
+
+def test_valuation_bound_is_the_exponent_of_norm_upper():
+    p = 5
+    for x, v, norm in (
+            (PadicNumber.zero(p), None, 0),
+            (PadicNumber.zero(p, 3), None, 0),
+            (PadicNumber.bounded_zero(p, 10), 10, Fraction(1, 5 ** 10)),
+            (PadicNumber.bounded_zero(p, 0), 0, 1),
+            (PadicNumber.from_int(7 * 5 ** 3, p), 3, Fraction(1, 125)),
+            (PadicNumber.from_rational(2, 125, p), -3, 125),
+            (PadicNumber.from_unit(p, 2, 4, 9), 2, Fraction(1, 25)),
+            (PadicNumber.from_unit(p, -1, 3, 1), -1, 5)):
+        assert x.valuation_bound() == v, x
+        assert x.norm_upper() == norm, x
+        if v is not None:
+            assert x.norm_upper() == Fraction(p) ** -v
+
+
+def _from_exact_general(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
+    """_from_exact's path for every rational, the reference of its path
+    for integers."""
+    if q == 0:
+        return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
+    v = _ord_fraction(q, p)
+    # a value below the window widens it so the leading digit is visible
+    rel = max(abs_precision - v, 1)
+    num = q.numerator // p ** max(0, ord_int(q.numerator, p))
+    den = q.denominator // p ** max(0, ord_int(q.denominator, p))
+    unit = num * pow(den, -1, p ** rel) % p ** rel
+    return PadicNumber(p, v, unit, v + rel, q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_from_exact_integer_path_matches_general_path(p):
+    ints = [0, 1, -1, 10 ** 40 + 7, -(10 ** 40 + 7), 2 ** 300 - 1,
+            -(3 ** 200) * 5 ** 7]
+    for k in (0, 1, 5, 70):
+        for u in (1, p - 1, p + 1, 12345 * p + 1, 7 ** 90):
+            ints += [p ** k * u, -p ** k * u]
+    for n in ints:
+        for prec in (-2, 0, 1, 3, 64, 200):
+            want = _state(_from_exact_general(p, Fraction(n), prec))
+            assert _state(_from_exact(p, Fraction(n), prec)) == want, (n, prec)
+            assert _state(PadicNumber.from_int(n, p, prec)) == want
+            assert _state(PadicNumber.from_rational(n, 1, p, prec)) == want
+
+
+def _draw_operand(data, p: int, label: str) -> PadicNumber:
+    kind = data.draw(st.sampled_from(
+        ["exact", "truncated", "bounded zero", "exact zero"]), label=label)
+    if kind == "exact zero":
+        return PadicNumber.zero(p, data.draw(st.integers(1, 40), label=label))
+    if kind == "bounded zero":
+        return PadicNumber.bounded_zero(
+            p, data.draw(st.integers(0, 40), label=label))
+    x = _draw_pow_input(data, p, data.draw(st.integers(0, 6), label=label),
+                        kind, label)
+    # a shift by p**-4..p**0 gives negative valuations too
+    shift = PadicNumber.from_rational(
+        1, p ** data.draw(st.integers(0, 4), label=label), p)
+    return x * shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_sub_is_the_sum_with_the_negation(p, data):
+    x, y = _draw_operand(data, p, "x"), _draw_operand(data, p, "y")
+
+    def outcome(f):
+        try:
+            return _state(f())
+        except InsufficientPrecision:
+            return InsufficientPrecision
+
+    assert outcome(lambda: x - y) == outcome(lambda: x + (-y))
+    assert outcome(lambda: y - x) == outcome(lambda: y + (-x))

@@ -9,18 +9,44 @@ import pytest
 
 import padiczoo
 
+import padiczoo.haar as haar
 from padiczoo.core import DomainError
 from padiczoo.haar import (
     E_prefix_target,
     Stream,
     _binomial_report,
-    digit_stream,
+    _check_prime_fits,
+    _pack_message,
+    _unpack_words,
+    _SEED_MASK,
     estimate_E_prefix_series,
     estimate_Y0,
-    pair_indicator,
     slln_report,
 )
 from padiczoo.zoo import E_prefix_member
+
+
+# --- the reference reader: each draw expanded digit by digit -----------------
+
+def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
+    """Eight uniform digits from one hash invocation."""
+    h = haar.hashlib.sha256(_pack_message(seed & _SEED_MASK, sample, block,
+                                          p)).digest()
+    return [w % p for w in _unpack_words(h)]
+
+
+def digit_stream(seed: int, sample: int, p: int):
+    """Digits d_0, d_1, ... of one Haar-uniform draw from Z_p."""
+    _check_prime_fits(p)
+    block = 0
+    while True:
+        yield from _block_digits(seed, sample, block, p)
+        block += 1
+
+
+def pair_indicator(digits: list[int], i: int) -> int:
+    """Y_i = 1 iff digit pair i of the draw is (0, 0)."""
+    return 1 if digits[2 * i] == 0 and digits[2 * i + 1] == 0 else 0
 
 
 def test_targets():
@@ -55,7 +81,6 @@ def test_stream_deterministic_per_seed_mod_2_64():
 
 
 def test_stream_draw_hashes_bits_plus_64(monkeypatch):
-    import padiczoo.haar as haar
     counter = _CountingHashlib(haar.hashlib)
     monkeypatch.setattr(haar, "hashlib", counter)
     s = Stream(0)
@@ -229,7 +254,6 @@ class _CountingHashlib:
 
 
 def _E_prefix_hashes_per_draw(monkeypatch, p, samples=4000):
-    import padiczoo.haar as haar
     counter = _CountingHashlib(haar.hashlib)
     monkeypatch.setattr(haar, "hashlib", counter)
     estimate_E_prefix_series(p, 10, samples, seed=3)

@@ -1,10 +1,12 @@
+import functools
 import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiczoo.core import DomainError, InsufficientPrecision, PadicNumber
+from padiczoo.core import DEFAULT_PRECISION, DomainError, \
+    InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
 from padiczoo.haar import Stream
 from padiczoo.quotients import PadicFunction
@@ -13,6 +15,7 @@ from padiczoo.zoo import (
     ENTRY_NAMES,
     E_prefix_member,
     BallSystem,
+    ClaimResult,
     Monomial,
     ZooEntry,
     build_entry,
@@ -30,6 +33,7 @@ from padiczoo.zoo import (
     thm2_g,
     thm34i_fN,
     thm34ii_gN,
+    _expand,
     _head_and_offset,
 )
 
@@ -279,6 +283,12 @@ def test_poly_combine_validation():
                                Monomial(one, (1, 0))])  # duplicate
     with pytest.raises(DomainError):
         poly_combine(entries, [Monomial(PadicNumber.zero(p), (1, 0))])
+    # a single monomial is validated before it can stand for one entry
+    steps = [build_entry("thm34i", p, member_bit=b) for b in range(3)]
+    for m in (Monomial(one, (1, 1, -1)), Monomial(one, (1,)),
+              Monomial(one, (2, -1, 0)), Monomial(2, (2, -1, 0))):
+        with pytest.raises(DomainError):
+            poly_combine(steps, [m])
 
 
 def test_poly_combine_growth_claim():
@@ -461,6 +471,18 @@ def test_linear_combination_is_the_degree_one_polynomial():
         linear_combination([shells[0], shells[0]], [two, one])
 
 
+def test_linear_combination_keeps_the_digits_of_exact_one_terms():
+    # a product with one(p, n) would cut the term to n relative digits
+    p, n = 3, 16
+    steps = [thm34i_fN(IndexSet(3, b, 1), p, n) for b in (0, 1)]
+    one = PadicNumber.one(p, n)
+    comb = linear_combination(steps, [one, one], n)
+    x = PadicNumber.from_int(p, p, n)  # index 1 is in the bit-0 set only
+    want = steps[0].function(x)
+    assert want.abs_precision == 2 * n and not want.is_zero_like
+    assert comb.function(x) == want
+
+
 def test_poly_combine_skips_exponent_zero_factors():
     # a factor v**0 taken as a product with one(p, abs_precision + 4)
     # would cut the term to the few digits of v
@@ -544,6 +566,37 @@ def _thm34ii_by_digit(N, p, precision, x):
     return PadicNumber.from_int(total, p, 2 * hi).truncated(2 * hi)
 
 
+def _thm34ii_digit_sum(N, p, precision):
+    """thm34ii's evaluate before the limb kernel: it splits x into all its
+    digits and sums the member digits."""
+
+    @functools.lru_cache(maxsize=64)
+    def terms(v: int, hi: int) -> tuple:
+        """(index into the digits of a value with valuation v, p**2n) for
+        each n in N within [max(0, v), hi)."""
+        return tuple((n - v, p ** (2 * n))
+                     for n in range(max(0, v), hi) if n in N)
+
+    def evaluate(x: PadicNumber) -> PadicNumber:
+        x = _expand(x, precision)
+        if x.is_exact_zero:
+            return PadicNumber.zero(p, 2 * precision)
+        if x.is_bounded_zero:
+            if x.abs_precision < 1:
+                raise InsufficientPrecision("no nonnegative digits known")
+            return PadicNumber.bounded_zero(p, 2 * x.abs_precision)
+        hi = x.abs_precision
+        if hi <= 0:
+            raise InsufficientPrecision("no nonnegative digits known")
+        digits = x.digits
+        total = sum(digits[i] * w for i, w in terms(x.valuation, hi))
+        if total == 0:
+            return PadicNumber.bounded_zero(p, 2 * hi)
+        return PadicNumber.from_unit(p, 0, total, 2 * hi)
+
+    return evaluate
+
+
 def _thm2_f_by_digit(p, precision, x):
     """thm2_f's value read one digit(n) at a time."""
     if x.exact is not None and x.abs_precision < precision:
@@ -611,6 +664,45 @@ def test_kernels_match_per_digit_reference(p, n):
             assert E_prefix_member(x, 4) == by_digit
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101]),
+       N=st.sampled_from([IndexSet(3, 0, 0), IndexSet(2, 1, 0)]),
+       data=st.data())
+def test_thm34ii_limb_kernel_matches_digit_sum(p, N, data):
+    k = 62 // p.bit_length()
+
+    def width(label):
+        # 1..1100 digits, or one next to a limb edge k*j
+        return data.draw(st.one_of(
+            st.integers(1, 1100),
+            st.builds(lambda j, d: max(1, k * j + d), st.integers(1, 1100 // k),
+                      st.sampled_from([-1, 0, 1]))), label=label)
+
+    precision = width("precision")
+    v = data.draw(st.integers(-3, 3), label="valuation")
+    kind = data.draw(st.sampled_from(["truncated", "exact", "bounded zero"]),
+                     label="kind")
+    if kind == "bounded zero":
+        x = PadicNumber.bounded_zero(p, data.draw(st.integers(0, 40),
+                                                  label="zeros"))
+    elif kind == "exact":
+        num = data.draw(st.integers(1, 10 ** 9).filter(lambda a: a % p),
+                        label="num")
+        den = data.draw(st.integers(1, 10 ** 4).filter(lambda b: b % p),
+                        label="den")
+        num, den = (num * p ** v, den) if v >= 0 else (num, den * p ** -v)
+        x = PadicNumber.from_rational(num, den, p, data.draw(
+            st.integers(1, 40), label="exact precision"))
+    else:
+        # the digits from max(0, v) upward end at or next to a limb edge
+        hi = max(0, v) + width("digits")
+        unit = data.draw(st.integers(0, p ** (hi - v) - 1), label="unit")
+        x = PadicNumber.from_unit(p, v, unit, hi)
+    got = thm34ii_gN(N, p, precision).function
+    assert _outcome(got, x) == _outcome(_thm34ii_digit_sum(N, p, precision),
+                                        x)
+
+
 def test_E_prefix_member_refuses_unknown_pairs():
     x = PadicNumber.from_digits(3, 0, [1, 2, 1, 1, 0], 5)
     assert not E_prefix_member(PadicNumber.bounded_zero(3, 4), 3)
@@ -652,6 +744,76 @@ def test_sampled_claims_pass_for_seeds(p, entry, claim, size):
 def test_sampled_claims_fail_on_no_draws(entry, claim, size):
     e = build_entry(entry, 3)
     assert not e.run_claim(claim, **{k: 0 for k in size}).passed
+
+
+def _contraction_fraction(evaluate, p, precision, pairs, seed):
+    """thm34ii's contraction claim before integer valuations: the ratio
+    |g(x) - g(y)| / |x - y|**2 in Fraction arithmetic."""
+    draw = Stream(seed)
+    worst, checked = Fraction(0), 0
+    for _ in range(pairs):
+        x = draw.zp(p, precision)
+        y = draw.zp(p, precision)
+        d = x - y
+        if d.is_zero_like:
+            continue
+        checked += 1
+        lhs = (evaluate(x) - evaluate(y)).norm_upper()
+        rhs = d.abs_value() ** 2
+        if rhs > 0:
+            worst = max(worst, lhs / rhs)
+        if lhs > rhs:
+            return ClaimResult("contraction", False,
+                               {"x": x.render(), "y": y.render()})
+    return ClaimResult("contraction", checked > 0,
+                       {"pairs": pairs, "worst_ratio": float(worst)})
+
+
+def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
+    """thm2_f's continuity-modulus claim before integer valuations: norms
+    compared with Fraction(p) ** -(2m+1)."""
+    draw = Stream(seed)
+    checked = 0
+    for i in range(pairs):
+        m = 1 + i % m_max
+        bound = Fraction(p) ** (-(2 * m + 1))
+        x = draw.zp(p, precision)
+        y = x + draw.zp(p, precision, min_valuation=2 * m + 2)
+        if (x - y).norm_upper() >= bound:
+            continue
+        checked += 1
+        d = (evaluate(x) - evaluate(y)).norm_upper()
+        if d >= bound:
+            return ClaimResult("continuity-modulus", False,
+                               {"m": m, "x": x.render()})
+    return ClaimResult("continuity-modulus", checked > 0,
+                       {"pairs": pairs, "m_max": m_max})
+
+
+def _assert_claims_match_references(p, size, seeds, m_maxes=(1, 10)):
+    n = DEFAULT_PRECISION
+    g = build_entry("thm34ii", p)
+    g_ref = _thm34ii_digit_sum(IndexSet(3, 0, 0), p, n)
+    f = build_entry("thm2_f", p)
+    for seed in seeds:
+        assert g.run_claim("contraction", pairs=size, seed=seed) \
+            == _contraction_fraction(g_ref, p, n, size, seed), seed
+        for m_max in m_maxes:
+            assert f.run_claim("continuity-modulus", pairs=size,
+                               m_max=m_max, seed=seed) \
+                == _continuity_modulus_fraction(f.function, p, n, size,
+                                                m_max, seed), seed
+
+
+@pytest.mark.parametrize("size", [1, 150])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sampled_claims_match_fraction_references(p, size):
+    _assert_claims_match_references(p, size, range(1, 6))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sampled_claims_match_fraction_references_at_full_size(p):
+    _assert_claims_match_references(p, 10_000, [100 + p], m_maxes=(10,))
 
 
 def test_claims_refuse_bad_sizes():
