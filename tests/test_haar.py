@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import padiczoo
-
 import padiczoo.haar as haar
 from padiczoo.core import DomainError
 from padiczoo.haar import (
