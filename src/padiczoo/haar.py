@@ -3,10 +3,12 @@
 Sampling is counter-based and fully reproducible: digit block j of sample i
 under seed s is the sha256 of (s mod 2**64, i, j, p), so estimates are
 bit-identical across runs and platforms for a fixed seed.  The estimators
-hash blocks on demand and read each digit pair straight from the words of
-a block: a draw's E-prefix scan hashes block j + 1 only when the pairs of
-blocks 0..j held no zero pair, and Y0 reads only block 0.  The tests check
-them against a reader that expands each draw digit by digit.
+read the draws in chunks of ``CHUNK``: one call hashes block j of every
+draw in a chunk into one array of words, and each digit pair is then
+tested as a column of that array.  They hash blocks on demand: the E-prefix
+scan hashes block j + 1 only for the draws whose pairs in blocks 0..j held
+no zero pair, and Y0 reads only block 0.  The tests check them against a
+reader that expands each draw digit by digit.
 ``Stream`` draws whole residues from the same counter for every other
 random point in the package.
 """
@@ -17,6 +19,8 @@ import itertools
 import json
 import math
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +34,15 @@ PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
 # so p must be below 2**32, and the bias, below p / 2**32, is far under
 # Monte Carlo noise for small p
 _pack_message = struct.Struct(">QQQQ").pack
-_unpack_words = struct.Struct(">8I").unpack
 _SEED_MASK = 2 ** 64 - 1
+# draws per call of _words: 64 KiB of digests, few enough calls that their
+# overhead is lost in the hashing
+CHUNK = 2048
+# the array typecode of a 4-byte word: "I" wherever C's int has 4 bytes,
+# else "L" (C's long has at least 4); digests hold big-endian words, so a
+# little-endian host swaps them
+_WORD = "I" if array("I").itemsize == 4 else "L"
+_SWAP = sys.byteorder == "little"
 
 
 # CPython's built-in sha256 (``_sha2`` from 3.12, ``_sha256`` before) does
@@ -164,17 +175,42 @@ def _binomial_report(p: int, samples: int, seed: int, statistic: str,
                     dict(extras))
 
 
+def _words(s: int, p: int, b: int, draws) -> array:
+    """The words of block b of each draw in ``draws``: word t of the n-th
+    draw is item 8 * n + t, so ``w[t::8]`` is the column of word t."""
+    sha256 = hashlib.sha256
+    w = array(_WORD, b"".join([sha256(_pack_message(s, i, b, p)).digest()
+                               for i in draws]))
+    if _SWAP:
+        w.byteswap()
+    return w
+
+
+def _spans(n_pairs: int) -> list[range]:
+    """Per block, the word offsets of its pairs among the first n_pairs."""
+    return [range(0, 2 * min(PAIRS_PER_BLOCK, n_pairs - first), 2)
+            for first in range(0, n_pairs, PAIRS_PER_BLOCK)]
+
+
+def _zero_pair_count(p: int, n_pairs: int, samples: int, s: int) -> int:
+    """Zero pairs among the first n_pairs pairs of draws 0..samples - 1."""
+    spans, total = _spans(n_pairs), 0
+    for first in range(0, samples, CHUNK):
+        draws = range(first, min(first + CHUNK, samples))
+        for b, span in enumerate(spans):
+            w = _words(s, p, b, draws)
+            for t in span:
+                total += sum([1 for x, y in zip(w[t::8], w[t + 1::8])
+                              if not x % p and not y % p])
+    return total
+
+
 def estimate_Y0(p: int, samples: int, seed: int) -> MCReport:
     """P[first digit pair is (0,0)]; target 1/p**2."""
     _check_prime_fits(p)
     if samples < 1:
         raise DomainError("need at least one sample")
-    sha256, s = hashlib.sha256, seed & _SEED_MASK
-    hits = 0
-    for i in range(samples):
-        w = _unpack_words(sha256(_pack_message(s, i, 0, p)).digest())
-        if w[0] % p == 0 and w[1] % p == 0:
-            hits += 1
+    hits = _zero_pair_count(p, 1, samples, seed & _SEED_MASK)
     return _binomial_report(p, samples, seed, "Y0", hits, 1 / p ** 2)
 
 
@@ -198,23 +234,22 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
         raise DomainError("k_max must be >= 1")
     if samples < 1:
         raise DomainError("need at least one sample")
-    sha256, s = hashlib.sha256, seed & _SEED_MASK
-    # word offsets of the pairs each block contributes to the first k_max
-    spans = [range(0, 2 * min(PAIRS_PER_BLOCK, k_max - first), 2)
-             for first in range(0, k_max, PAIRS_PER_BLOCK)]
+    s, spans = seed & _SEED_MASK, _spans(k_max)
     stops = [0] * (k_max + 1)
-    for i in range(samples):
-        j = k_max
+    for first in range(0, samples, CHUNK):
+        live = range(first, min(first + CHUNK, samples))
         for b, span in enumerate(spans):
-            w = _unpack_words(sha256(_pack_message(s, i, b, p)).digest())
+            w = _words(s, p, b, live)
+            alive = bytearray([1]) * len(live)
             for t in span:
-                if w[t] % p == 0 and w[t + 1] % p == 0:
-                    j = b * PAIRS_PER_BLOCK + t // 2
-                    break
-            else:
-                continue
-            break
-        stops[j] += 1
+                hits = [n for n, x, y in zip(itertools.count(), w[t::8],
+                                             w[t + 1::8])
+                        if not x % p and not y % p and alive[n]]
+                stops[b * PAIRS_PER_BLOCK + t // 2] += len(hits)
+                for n in hits:
+                    alive[n] = 0
+            live = list(itertools.compress(live, alive))
+        stops[k_max] += len(live)
     survivors = list(itertools.accumulate(reversed(stops[1:])))[::-1]
     return [
         _binomial_report(p, samples, seed, "E_prefix", survivors[j],
@@ -230,15 +265,7 @@ def slln_report(p: int, n_pairs: int, samples: int, seed: int) -> MCReport:
         raise DomainError("need at least one pair")
     if samples < 1:
         raise DomainError("need at least one sample")
-    sha256, s = hashlib.sha256, seed & _SEED_MASK
-    blocks = range(-(-n_pairs // PAIRS_PER_BLOCK))
-    unpack_draw = struct.Struct(f">{DIGITS_PER_BLOCK * len(blocks)}I").unpack
-    span = range(0, 2 * n_pairs, 2)
-    total = 0
-    for i in range(samples):
-        w = unpack_draw(b"".join([sha256(_pack_message(s, i, b, p)).digest()
-                                  for b in blocks]))
-        total += sum([1 for t in span if w[t] % p == 0 and w[t + 1] % p == 0])
+    total = _zero_pair_count(p, n_pairs, samples, seed & _SEED_MASK)
     # pairs within a draw are independent under Haar measure, so the
     # aggregate count is binomial over samples * n_pairs trials
     return _binomial_report(p, samples, seed, "slln", total, 1 / p ** 2,

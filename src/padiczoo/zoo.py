@@ -575,6 +575,9 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
             raise DomainError("exponents must be nonnegative")
         if m.degree < 1:
             raise DomainError("free term is not allowed")
+        if not isinstance(m.coefficient, PadicNumber):
+            raise DomainError("monomial coefficients must be PadicNumber "
+                              f"values, not {type(m.coefficient).__name__}")
         if m.coefficient.is_zero_like:
             raise DomainError("monomial coefficients must be nonzero")
         if m.exponents in seen:

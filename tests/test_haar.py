@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,14 @@ import padiczoo
 import padiczoo.haar as haar
 from padiczoo.core import DomainError
 from padiczoo.haar import (
+    CHUNK,
     E_prefix_target,
     Stream,
     _binomial_report,
     _check_prime_fits,
     _pack_message,
-    _unpack_words,
     _SEED_MASK,
+    _words,
     estimate_E_prefix_series,
     estimate_Y0,
     slln_report,
@@ -26,6 +28,10 @@ from padiczoo.zoo import E_prefix_member
 
 
 # --- the reference reader: each draw expanded digit by digit -----------------
+
+# decodes a block with struct, apart from the estimators' array path
+_unpack_words = struct.Struct(">8I").unpack
+
 
 def _block_digits(seed: int, sample: int, block: int, p: int) -> list[int]:
     """Eight uniform digits from one hash invocation."""
@@ -243,6 +249,43 @@ def test_kernels_match_digit_stream(p, seed):
     assert estimate_Y0(p, n, seed).estimate == hits / n
 
 
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_kernels_match_digit_stream_across_chunks(p):
+    # sample counts on both sides of one and two chunk boundaries
+    seed, most = 11, 2 * CHUNK + 3
+    draws = _reference_draws(p, seed, most, 10)
+    for n in (CHUNK - 1, CHUNK, CHUNK + 1, most):
+        for k in (1, 2, 4, 5, 10):
+            stops = [_first_zero_pair(d, k) for d in draws[:n]]
+            series = estimate_E_prefix_series(p, k, n, seed)
+            assert [r.estimate for r in series] == [
+                sum(1 for j in stops if j > t) / n for t in range(k)], (n, k)
+            total = sum(pair_indicator(d, t) for d in draws[:n]
+                        for t in range(k))
+            assert slln_report(p, k, n, seed).estimate == total / (n * k)
+        hits = sum(pair_indicator(d, 0) for d in draws[:n])
+        assert estimate_Y0(p, n, seed).estimate == hits / n, n
+
+
+def _first_zero_pair(digits: list[int], k: int) -> int:
+    """The index of the first zero pair among the first k, else k."""
+    return next((t for t in range(k) if pair_indicator(digits, t)), k)
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 3])
+def test_words_match_struct_decoding(p, seed):
+    s = seed & _SEED_MASK
+    for b in range(3):
+        for draws in (range(5), [9, 2, CHUNK + 7]):
+            w = _words(s, p, b, draws)
+            assert len(w) == 8 * len(draws)
+            for n, i in enumerate(draws):
+                block = haar.hashlib.sha256(_pack_message(s, i, b, p))
+                assert tuple(w[8 * n:8 * n + 8]) == struct.unpack(
+                    ">8I", block.digest()), (b, i)
+
+
 class _CountingHashlib:
     def __init__(self, real):
         self.real, self.calls = real, 0
@@ -250,6 +293,28 @@ class _CountingHashlib:
     def sha256(self, *args):
         self.calls += 1
         return self.real.sha256(*args)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_estimators_hash_exactly_the_blocks_they_read(p, monkeypatch):
+    seed, n = 5, CHUNK + 5
+    draws = _reference_draws(p, seed, n, 10)
+    counter = _CountingHashlib(haar.hashlib)
+    monkeypatch.setattr(haar, "hashlib", counter)
+
+    def hashes(estimator, *args):
+        before = counter.calls
+        estimator(*args)
+        return counter.calls - before
+
+    assert hashes(estimate_Y0, p, n, seed) == n
+    for k in (1, 4, 5, 10):
+        assert hashes(slln_report, p, k, n, seed) == n * -(-k // 4), k
+        # the reference reader hashes up to the block of the first zero
+        # pair, or the blocks of all k pairs when there is none
+        need = sum(min(_first_zero_pair(d, k), k - 1) // 4 + 1
+                   for d in draws)
+        assert hashes(estimate_E_prefix_series, p, k, n, seed) == need, k
 
 
 def _E_prefix_hashes_per_draw(monkeypatch, p, samples=4000):

@@ -291,6 +291,17 @@ def test_poly_combine_validation():
             poly_combine(steps, [m])
 
 
+def test_poly_combine_refuses_coefficients_that_are_not_padic():
+    p = 3
+    steps = [build_entry("thm34i", p, member_bit=b) for b in range(3)]
+    one = PadicNumber.one(p)
+    # an int 1 would otherwise reach the single-entry shortcut
+    for monomials in ([Monomial(2, (1, 0, 0))], [Monomial(1, (1, 0, 0))],
+                      [Monomial(one, (1, 0, 0)), Monomial(2, (0, 1, 0))]):
+        with pytest.raises(DomainError, match="PadicNumber"):
+            poly_combine(steps, monomials)
+
+
 def test_poly_combine_growth_claim():
     p = 3
     betas = [PadicNumber.from_int(b, p, 64) for b in (1, 4, 7)]
