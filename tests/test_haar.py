@@ -298,7 +298,6 @@ class _CountingHashlib:
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_estimators_hash_exactly_the_blocks_they_read(p, monkeypatch):
     seed, n = 5, CHUNK + 5
-    draws = _reference_draws(p, seed, n, 10)
     counter = _CountingHashlib(haar.hashlib)
     monkeypatch.setattr(haar, "hashlib", counter)
 
@@ -310,11 +309,18 @@ def test_estimators_hash_exactly_the_blocks_they_read(p, monkeypatch):
     assert hashes(estimate_Y0, p, n, seed) == n
     for k in (1, 4, 5, 10):
         assert hashes(slln_report, p, k, n, seed) == n * -(-k // 4), k
-        # the reference reader hashes up to the block of the first zero
-        # pair, or the blocks of all k pairs when there is none
-        need = sum(min(_first_zero_pair(d, k), k - 1) // 4 + 1
-                   for d in draws)
+        # the reference reader, which hashes a block when its first digit
+        # is read, scanning each draw up to its first zero pair
+        need = hashes(_scan_to_first_zero_pair, p, k, n, seed)
         assert hashes(estimate_E_prefix_series, p, k, n, seed) == need, k
+
+
+def _scan_to_first_zero_pair(p, k, samples, seed):
+    for i in range(samples):
+        digits = digit_stream(seed, i, p)
+        for _ in range(k):
+            if (next(digits), next(digits)) == (0, 0):
+                break
 
 
 def _E_prefix_hashes_per_draw(monkeypatch, p, samples=4000):
