@@ -16,12 +16,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     is_prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .vanderput import power_str
+from .vanderput import criterion_products, power_str
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
 from .families import IndexSet
 
@@ -126,9 +127,11 @@ def _verify_haar(args, config: RunConfig) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _as_float(q: Fraction) -> float:
+def _decimal(a: int, q: int) -> float:
+    """a / q, correctly rounded (int true division), or inf past the float
+    range."""
     try:
-        return float(q)
+        return a / q
     except OverflowError:
         return math.inf
 
@@ -143,11 +146,21 @@ def cmd_table(args, config: RunConfig) -> int:
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
                 "product_n1", f"product_alpha_{alpha}"])
-    for n, k, m, norm in lip_coefficient_rows(N, p, args.n_max):
-        p1 = norm * k
-        pa = norm * Fraction(k) ** alpha
-        w.writerow([n, power_str(p, norm), _as_float(norm), _as_float(p1),
-                    _as_float(pa)])
+    # each product |a_k| * k**alpha of a member row is an integer pair: the
+    # criterion products for alpha >= 1, and (1, k**-alpha * p**m) below;
+    # the alpha = 1 pair (k, p**m) also carries the norm p**-m
+    rows, kept = tee(lip_coefficient_rows(N, p, args.n_max))
+    ones, powers = tee((k, m) for _, k, m, member in kept if member)
+    products = zip(criterion_products(ones, 1, p),
+                   criterion_products(powers, alpha, p) if alpha >= 1
+                   else ((1, k ** -alpha * p ** m) for k, m in powers))
+    for n, _, _, member in rows:
+        if member:
+            (k1, q1), (a, q) = next(products)
+            w.writerow([n, power_str(p, Fraction(1, q1)), 1 / q1,
+                        _decimal(k1, q1), _decimal(a, q)])
+        else:
+            w.writerow([n, "0", 0.0, 0.0, 0.0])
     _emit(config, buf.getvalue().rstrip("\n"))
     return EXIT_PASS
 

@@ -24,10 +24,11 @@ def _ilog(n: int, p: int) -> int:
     """floor(log_p n) for n >= 1: a floating-point estimate, corrected with
     exact integer comparisons."""
     s = int(math.log(n, p))
-    while s > 0 and p ** s > n:
-        s -= 1
-    while p ** (s + 1) <= n:
-        s += 1
+    power = p ** s
+    while s > 0 and power > n:
+        s, power = s - 1, power // p
+    while power * p <= n:
+        s, power = s + 1, power * p
     return s
 
 
@@ -91,15 +92,6 @@ def decompose(f: PadicFunction, p: int,
         return fn - fm
 
     return VdPSeries(p, coefficient)
-
-
-def partial_sum(series: VdPSeries, n_max: int, x: PadicNumber) -> PadicNumber:
-    """Sum of a_n e_n(x) over n <= n_max."""
-    total = PadicNumber.zero(series.prime, DEFAULT_PRECISION)
-    for n in range(n_max + 1):
-        if basis_eval(n, x):
-            total = total + series.coeff(n)
-    return total
 
 
 def power_str(p: int, norm: Fraction) -> str:

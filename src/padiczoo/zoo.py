@@ -330,25 +330,26 @@ def greedy_disjoint_balls(p: int, scan_limit: int) -> list[int]:
     return out
 
 
-def _lip_exponent_rows(N: IndexSet, p: int,
-                       n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
-    """Rows (n, sigma(n), m_sigma(n), n in N): |a_sigma(n)| is p**-m_sigma(n)
-    for n in N and 0 otherwise; the schedule exponent is made nondecreasing
-    along sigma."""
-    balls = BallSystem(p)
-    m_running = 0
+def lip_coefficient_rows(N: IndexSet, p: int,
+                         n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
+    """Integer rows (n, sigma(n), m_sigma(n), n in N) of the sparse van der
+    Put series, for n <= n_limit: |a_sigma(n)| is p**-m_sigma(n) for n in N
+    and 0 otherwise.
+
+    sigma(n) = (n mod q + 1) * p**(n div q) with q = max(p - 1, 1) is kept
+    as a running power of p, multiplied by p once per wrap, so no row
+    computes a fresh power.  The schedule exponent is made nondecreasing
+    along sigma by a cumulative max of ``schedule_exponent``.
+    """
+    q = max(p - 1, 1)
+    power, m_running = 1, 0
     for n in range(n_limit + 1):
-        k = balls.sigma(n)
+        r = n % q
+        if r == 0 and n:
+            power *= p
+        k = (r + 1) * power
         m_running = max(m_running, schedule_exponent(k, p))
         yield n, k, m_running, n in N
-
-
-def lip_coefficient_rows(N: IndexSet, p: int,
-                         n_limit: int) -> Iterator[tuple[int, int, int, Fraction]]:
-    """Rows (n, sigma(n), m_sigma(n), |a_sigma(n)|) of the sparse van der
-    Put series."""
-    for n, k, m, member in _lip_exponent_rows(N, p, n_limit):
-        yield n, k, m, Fraction(p) ** (-m) if member else Fraction(0)
 
 
 def lip_fN(N: IndexSet, p: int,
@@ -370,7 +371,8 @@ def lip_fN(N: IndexSet, p: int,
                 f"ball membership at index {n} needs {t} digits")
         if x.residue(t) != k % p ** t or n not in N:
             return PadicNumber.zero(p, precision)
-        m = max(schedule_exponent(balls.sigma(j), p) for j in range(n + 1))
+        for _, _, m, _ in lip_coefficient_rows(N, p, n):
+            pass  # m_sigma(n) is the exponent of the last row
         return PadicNumber.from_rational(p ** m, 1, p, precision + m)
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
@@ -379,7 +381,7 @@ def lip_fN(N: IndexSet, p: int,
         """(n, |a_sigma(n)| sigma(n)**alpha as an integer pair) for the
         members n of N up to n_limit."""
         rows, keys = tee((n, k, m) for n, k, m, member
-                         in _lip_exponent_rows(N, p, n_limit) if member)
+                         in lip_coefficient_rows(N, p, n_limit) if member)
         return zip((n for n, _, _ in keys), criterion_products(
             ((k, m) for _, k, m in rows), alpha, p))
 

@@ -1,9 +1,16 @@
+import csv
 import inspect
+import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from conftest import reference_lip_rows
 from padiczoo.cli import main
+from padiczoo.families import IndexSet
+from padiczoo.vanderput import power_str
 from padiczoo.zoo import ENTRY_NAMES, build_entry
 
 
@@ -79,6 +86,54 @@ def test_table(capsys):
     assert len(lines) == 32
     # norms rendered as p^k strings alongside decimals
     assert any(",2^-" in line for line in lines[1:])
+
+
+def _as_float(q: Fraction) -> float:
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+def reference_table(p: int, alpha: int, family: tuple[int, int],
+                    n_max: int) -> str:
+    """``table lip_fN`` computed in Fraction arithmetic on the closed-form
+    rows, as the CLI computed it before its integer kernel."""
+    N = IndexSet(family[0], family[1], 0)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
+                "product_n1", f"product_alpha_{alpha}"])
+    for n, k, m, norm in reference_lip_rows(N, p, n_max):
+        p1 = norm * k
+        pa = norm * Fraction(k) ** alpha
+        w.writerow([n, power_str(p, norm), _as_float(norm), _as_float(p1),
+                    _as_float(pa)])
+    return buf.getvalue().rstrip("\n")
+
+
+@pytest.mark.parametrize("alpha", [-3, -1, 0, 1, 2, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_table_matches_fraction_reference(capsys, p, alpha):
+    # integer pairs and int true division give the Fraction table byte for
+    # byte, at every row count around the first wrap of sigma
+    for family in ((3, 0), (2, 1), (1, 0)):
+        for n_max in sorted({0, 1, p - 2, p - 1, p, 300}):
+            code, out, _ = run(capsys, "--prime", str(p), "table", "lip_fN",
+                               "--set", "%d,%d" % family, "--alpha",
+                               str(alpha), "--n-max", str(n_max))
+            assert code == 0
+            assert out == reference_table(p, alpha, family, n_max) + "\n", \
+                (family, n_max)
+
+
+def test_table_overflow_matches_fraction_reference(capsys):
+    # |a_k| k**2 passes the float range near n = 1100 at p = 2
+    code, out, _ = run(capsys, "--prime", "2", "table", "lip_fN",
+                       "--alpha", "2", "--n-max", "1100")
+    assert code == 0
+    assert out == reference_table(2, 2, (3, 0), 1100) + "\n"
+    assert ",inf" in out and ",inf" not in out[:out.index("\n1000,")]
 
 
 def test_haar_command_reproducible(capsys):

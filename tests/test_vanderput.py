@@ -3,7 +3,8 @@ from itertools import count
 
 import pytest
 
-from padiczoo.core import DomainError, InsufficientPrecision, PadicNumber
+from padiczoo.core import DEFAULT_PRECISION, DomainError, \
+    InsufficientPrecision, PadicNumber
 from padiczoo.quotients import PadicFunction
 from padiczoo.vanderput import (
     ball_exponent,
@@ -11,7 +12,6 @@ from padiczoo.vanderput import (
     criterion_products,
     decompose,
     drop_leading_digit,
-    partial_sum,
     power_str,
     schedule_exponent,
     series_rows,
@@ -64,6 +64,15 @@ def test_decompose_identity():
             s += 1
         want = PadicNumber.from_int(q * p ** s, p)
         assert series.coeff(n).agrees_with(want)
+
+
+def partial_sum(series, n_max: int, x: PadicNumber) -> PadicNumber:
+    """Reference: the sum of a_n e_n(x) over n <= n_max."""
+    total = PadicNumber.zero(series.prime, DEFAULT_PRECISION)
+    for n in range(n_max + 1):
+        if basis_eval(n, x):
+            total = total + series.coeff(n)
+    return total
 
 
 def test_partial_sum_reconstructs_identity():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_lip_rows
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
@@ -128,11 +129,41 @@ def test_lip_eval_matches_rows():
     p = 3
     N = IndexSet(3, 0, 0)
     e = lip_fN(N, p, 48)
-    for n, k, m, norm in list(lip_coefficient_rows(N, p, 25)):
+    for n, k, m, member in list(lip_coefficient_rows(N, p, 25)):
         x = PadicNumber.from_int(k, p, 48)
         v = e.function(x)
         got = Fraction(0) if v.is_exact_zero else v.abs_value()
-        assert got == norm, (n, k)
+        assert got == (Fraction(p) ** -m if member else 0), (n, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_lip_rows_match_the_closed_form(p):
+    # sigma is a running power of p, multiplied at each wrap
+    # n = 0 mod (p - 1); the closed forms recompute it on every row
+    n_limit = 3000
+    for N in (IndexSet(3, 0, 0), IndexSet(2, 1, 0)):
+        got = list(lip_coefficient_rows(N, p, n_limit))
+        assert got == [(n, k, m, norm != 0) for n, k, m, norm
+                       in reference_lip_rows(N, p, n_limit)]
+    q = max(p - 1, 1)
+    wraps = [(n, k) for n, k, m, member in got if n % q == 0]
+    assert wraps == [(j * q, p ** j) for j in range(n_limit // q + 1)]
+    for n_max in (0, 1, p - 2, p - 1, p):
+        assert list(lip_coefficient_rows(N, p, n_max)) == got[:n_max + 1]
+
+
+def test_lip_eval_reads_the_rows():
+    # evaluate takes m from the rows: the value at sigma(n) is p**m_sigma(n)
+    # for the odd members n of N, and 0 at the even n
+    p = 2
+    N = IndexSet(1, 0, 0)
+    e = lip_fN(N, p, 32)
+    for n, k, m, member in lip_coefficient_rows(N, p, 1001):
+        if n in (0, 1, 7, 1000, 1001):
+            v = e.function(PadicNumber.from_int(k, p, n + 32))
+            assert member == (n % 2 == 1)
+            want = Fraction(p) ** -m if member else 0
+            assert (0 if v.is_exact_zero else v.abs_value()) == want, n
 
 
 def test_lip_zero_and_off_ball():
@@ -158,10 +189,10 @@ def test_lip_function_has_the_claimed_coefficients(p, bit):
     N = IndexSet(3, bit, 0)
     series = decompose(lip_fN(N, p).function, p)
     centres = {}
-    for n, k, m, norm in lip_coefficient_rows(N, p, 300):
+    for n, k, m, member in lip_coefficient_rows(N, p, 300):
         if k > 300:
             break
-        centres[k] = norm
+        centres[k] = Fraction(p) ** -m if member else 0
     for k in range(301):
         a = series.coeff(k)
         if centres.get(k, 0) == 0:
@@ -181,11 +212,11 @@ def test_lip_claims_reduced():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_lip_claims_match_fraction_reference(p):
     # the claims compare integer cross-products; the reference runs the
-    # same criteria in Fraction arithmetic on lip_coefficient_rows
+    # same criteria in Fraction arithmetic on the closed-form rows
     import math
     N = IndexSet(3, 0, 0)
     e = lip_fN(N, p)
-    rows = [r for r in lip_coefficient_rows(N, p, 400) if r[3] != 0]
+    rows = [r for r in reference_lip_rows(N, p, 400) if r[3] != 0]
     products = [norm * k for n, k, m, norm in rows if n >= 2]
     assert all(norm * k <= Fraction(p) / Fraction(math.log(n))
                for n, k, m, norm in rows if n >= 2)
