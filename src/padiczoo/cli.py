@@ -15,14 +15,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import tee
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     is_prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .vanderput import criterion_products, power_str
+from .vanderput import criterion_products
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
 from .families import IndexSet
 
@@ -146,19 +145,19 @@ def cmd_table(args, config: RunConfig) -> int:
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
                 "product_n1", f"product_alpha_{alpha}"])
-    # each product |a_k| * k**alpha of a member row is an integer pair: the
-    # criterion products for alpha >= 1, and (1, k**-alpha * p**m) below;
-    # the alpha = 1 pair (k, p**m) also carries the norm p**-m
+    # criterion_products at alpha = 1 gives the pair (k, p**m) of |a_k| * k
+    # for each member row; p**m also gives the norm p**-m and the product
+    # |a_k| * k**alpha as the pair (k**alpha, p**m), or (1, k**-alpha * p**m)
+    # for alpha < 0
     rows, kept = tee(lip_coefficient_rows(N, p, args.n_max))
-    ones, powers = tee((k, m) for _, k, m, member in kept if member)
-    products = zip(criterion_products(ones, 1, p),
-                   criterion_products(powers, alpha, p) if alpha >= 1
-                   else ((1, k ** -alpha * p ** m) for k, m in powers))
-    for n, _, _, member in rows:
+    ones = criterion_products(
+        ((k, m) for _, k, m, member in kept if member), 1, p)
+    for n, k, m, member in rows:
         if member:
-            (k1, q1), (a, q) = next(products)
-            w.writerow([n, power_str(p, Fraction(1, q1)), 1 / q1,
-                        _decimal(k1, q1), _decimal(a, q)])
+            k1, q = next(ones)
+            a, b = (k ** alpha, q) if alpha >= 0 else (1, k ** -alpha * q)
+            w.writerow([n, f"{p}^{-m}", 1 / q, _decimal(k1, q),
+                        _decimal(a, b)])
         else:
             w.writerow([n, "0", 0.0, 0.0, 0.0])
     _emit(config, buf.getvalue().rstrip("\n"))

@@ -68,17 +68,18 @@ class Stream:
 
     Draw i of the stream under seed s reads the blocks (s mod 2**64, i, j, 0)
     for j = 0, 1, ...: the estimators' message with p = 0, which no
-    estimator hashes.  Each draw reduces enough blocks for bits(n) + 64 bits
-    mod n, so it is within statistical distance 2**-64 of uniform on
-    [0, n).  A point takes all its digits from one such draw, and a zero
-    residue gives a bounded zero.
+    estimator hashes.  Each draw ``below(n)`` reduces enough blocks for
+    bits(n) + 64 bits mod n, so it is within statistical distance 2**-64 of
+    uniform on [0, n).  A point takes all its digits from one such draw,
+    and a zero residue gives a bounded zero; the sampled claims that work
+    on residues call ``below`` directly.
     """
 
     def __init__(self, seed: int):
         self._seed = seed & _SEED_MASK
         self._draws = 0
 
-    def _below(self, n: int) -> int:
+    def below(self, n: int) -> int:
         """A uniform integer in [0, n)."""
         sha256, seed, i = hashlib.sha256, self._seed, self._draws
         self._draws = i + 1
@@ -91,7 +92,7 @@ class Stream:
     def zp(self, p: int, precision: int,
            min_valuation: int = 0) -> PadicNumber:
         """A point of p**min_valuation Z_p known mod p**precision."""
-        unit = self._below(p ** (precision - min_valuation))
+        unit = self.below(p ** (precision - min_valuation))
         if unit == 0:
             return PadicNumber.bounded_zero(p, precision)
         return PadicNumber.from_unit(p, min_valuation, unit, precision)
@@ -101,9 +102,9 @@ class Stream:
         """A point with valuation uniform in ``range(*valuation_range)`` and
         ``precision`` known digits from there, the leading one nonzero."""
         low, high = valuation_range
-        v = low + self._below(high - low)
+        v = low + self.below(high - low)
         # (leading digit - 1) + (p - 1) * (the other precision - 1 digits)
-        rest, lead = divmod(self._below((p - 1) * p ** (precision - 1)),
+        rest, lead = divmod(self.below((p - 1) * p ** (precision - 1)),
                             p - 1)
         return PadicNumber.from_unit(p, v, lead + 1 + p * rest, v + precision)
 
@@ -111,7 +112,7 @@ class Stream:
         """A point of Z_p with precision // 2 digit pairs, none of them 0 0."""
         # base p**2 - 1 digits of one draw, each shifted to a nonzero pair
         pairs, base = precision // 2, p * p - 1
-        r = self._below(base ** pairs)
+        r = self.below(base ** pairs)
         unit, scale = 0, 1
         for _ in range(pairs):
             r, d = divmod(r, base)

@@ -15,7 +15,7 @@ from itertools import count, takewhile, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
-    PadicNumber, pow_one_plus
+    PadicNumber, ord_int, pow_one_plus
 from .families import IndexSet
 from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
@@ -180,24 +180,68 @@ def thm34i_fN(N: IndexSet, p: int,
 # ---------------------------------------------------------------------------
 # digit-spreading contraction x_n -> x_n p^{2n}
 
+# thm34ii's kernel reads x in machine-word limbs of k digits (p**k < 2**62)
+# and each limb in chunks of c digits, the most with p**c <= 256, through a
+# table of the chunk's spread for each of its p**c values
+_CHUNK_VALUES = 256
+
+
+@functools.lru_cache(maxsize=256)
+def _chunk_table(p: int, c: int, offsets: tuple) -> Sequence[int]:
+    """For each w in [0, p**c): the sum of digit j of w times p**2j over the
+    member offsets j.  A one-digit chunk (p >= 17) is its own spread, so a
+    large p builds no table."""
+    if c == 1:
+        return range(p)
+    t = [0]
+    for j in range(c):
+        w2 = p ** (2 * j) if j in offsets else 0
+        t = [s + d * w2 for d in range(p) for s in t]
+    return tuple(t)
+
+
+@functools.lru_cache(maxsize=256)
+def _spread_table(N: IndexSet, p: int, low: int, hi: int) -> tuple:
+    """What ``_spread`` needs for the digits low, low+1, ... below hi: p**k,
+    p**2k, p**2low, p**c, and for each limb the triples (p**b, chunk table,
+    p**2b) of its chunks at offsets b that hold a member."""
+    k, c = max(1, 62 // p.bit_length()), 1
+    while p ** (c + 1) <= _CHUNK_VALUES:
+        c += 1
+    limbs = []
+    for a in range(low, hi, k):
+        chunks = []
+        for b in range(0, min(k, hi - a), c):
+            offsets = tuple(j for j in range(min(c, k - b, hi - a - b))
+                            if a + b + j in N)
+            if offsets:
+                chunks.append((p ** b, _chunk_table(p, c, offsets),
+                               p ** (2 * b)))
+        limbs.append(tuple(chunks))
+    return p ** k, p ** (2 * k), p ** (2 * low), p ** c, tuple(limbs)
+
+
+def _spread(u: int, table: tuple) -> int:
+    """thm34ii's kernel: sum of a_n * p**2n over the members n of the
+    table's N in [low, hi), where a_n is digit n - low of the integer u."""
+    limb, limb_out, scale, chunk, limbs = table
+    sums = []
+    for chunks in limbs:
+        u, w = divmod(u, limb)
+        sums.append(sum([t[w // pb % chunk] * w2 for pb, t, w2 in chunks]))
+    # combine the limb sums by Horner's rule in p**2k
+    total = 0
+    for s in reversed(sums):
+        total = total * limb_out + s
+    return total * scale
+
+
 def thm34ii_gN(N: IndexSet, p: int,
                precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """Digit-spreading map: digit a_n of x (n in N, n >= 0) contributes
     a_n * p**2n.  Satisfies |g(x)-g(y)| <= |x-y|**2, hence is strictly
     differentiable with zero derivative; second difference quotients along
     the canonical triples have constant norm."""
-
-    # digits are read in machine-word limbs of k digits: p**k < 2**62
-    k = max(1, 62 // p.bit_length())
-    limb, limb_out = p ** k, p ** (2 * k)
-
-    @functools.lru_cache(maxsize=64)
-    def limb_members(low: int, hi: int) -> tuple:
-        """For each limb of the digits low, low+1, ... below hi, the pairs
-        (p**j, p**2j) over the member offsets j in that limb."""
-        return tuple(tuple((p ** (n - a), p ** (2 * (n - a)))
-                           for n in range(a, min(a + k, hi)) if n in N)
-                     for a in range(low, hi, k))
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
@@ -210,20 +254,13 @@ def thm34ii_gN(N: IndexSet, p: int,
         hi = x.abs_precision
         if hi <= 0:
             raise InsufficientPrecision("no nonnegative digits known")
-        # the digits from position low = max(0, v) upward, read only at
-        # the members and combined by Horner's rule in p**2k
+        # the digits from position low = max(0, v) upward
         low = max(0, x.valuation)
-        u = x.unit // p ** (low - x.valuation)
-        sums = []
-        for members in limb_members(low, hi):
-            u, w = divmod(u, limb)
-            sums.append(sum([w // pj % p * w2 for pj, w2 in members]))
-        total = 0
-        for s in reversed(sums):
-            total = total * limb_out + s
+        total = _spread(x.unit // p ** (low - x.valuation),
+                        _spread_table(N, p, low, hi))
         if total == 0:
             return PadicNumber.bounded_zero(p, 2 * hi)
-        return PadicNumber.from_unit(p, 0, total * p ** (2 * low), 2 * hi)
+        return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
@@ -237,26 +274,31 @@ def thm34ii_gN(N: IndexSet, p: int,
             yield n, (x, y, z)
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
-        # with |g(x) - g(y)| <= p**-e, the ratio of that bound to
-        # |x - y|**2 is p**(2 v(x - y) - e); worst is its largest exponent
-        draw = Stream(seed)
+        # x and y are residues mod p**precision from Stream.below, the draws
+        # that draw.zp makes points of, and g reads them through the
+        # kernel its evaluate uses.  g of either is known mod
+        # p**(2 precision), so with the spreads S(x) != S(y),
+        # |g(x) - g(y)| = p**-e for e = v(S(x) - S(y)), and with
+        # S(x) == S(y) it is at most p**-(2 precision).  The ratio of that
+        # bound to |x - y|**2 is p**(2 v(x - y) - e); worst is its largest
+        # exponent.  Points are built only for a failure report
+        draw, table = Stream(seed), _spread_table(N, p, 0, precision)
+        below, top = draw.below, p ** precision
         worst, checked = None, 0
         for _ in range(pairs):
-            x = draw.zp(p, precision)
-            y = draw.zp(p, precision)
-            d = x - y
-            if d.is_zero_like:
+            x, y = below(top), below(top)
+            if x == y:
                 continue
             checked += 1
-            e = (evaluate(x) - evaluate(y)).valuation_bound()
-            if e is None:  # an exact zero: the ratio is 0
-                continue
-            excess = 2 * d.valuation - e
+            gx, gy = _spread(x, table), _spread(y, table)
+            e = 2 * precision if gx == gy else ord_int(gx - gy, p)
+            excess = 2 * ord_int(x - y, p) - e
             if worst is None or excess > worst:
                 worst = excess
             if excess > 0:
-                return ClaimResult("contraction", False,
-                                   {"x": x.render(), "y": y.render()})
+                return ClaimResult("contraction", False, {
+                    "x": PadicNumber.from_unit(p, 0, x, precision).render(),
+                    "y": PadicNumber.from_unit(p, 0, y, precision).render()})
         ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
         return ClaimResult("contraction", checked > 0,
                            {"pairs": pairs, "worst_ratio": ratio})
@@ -853,26 +895,27 @@ def prop26_fN(N: Optional[IndexSet], p: int,
 # ---------------------------------------------------------------------------
 # digit-pair truncation: differentiable off a measure-zero set
 
-def _first_zero_pair(x: PadicNumber, pairs: int) -> Optional[int]:
-    """Index of the first (0, 0) digit pair among the first ``pairs`` pairs
-    of x in Z_p, or None; raises when the scan reaches a pair that is not
-    fully known."""
-    known = pairs if x.exact is not None else min(pairs, x.abs_precision // 2)
-    r, base = x.residue(2 * known), x.prime ** 2
-    for i in range(known):
+def _first_zero_pair(r: int, p: int, pairs: int) -> Optional[int]:
+    """thm2_f's kernel: index of the first (0, 0) digit pair among the first
+    ``pairs`` digit pairs of the integer r >= 0, or None."""
+    base = p * p
+    for i in range(pairs):
         r, pair = divmod(r, base)
         if pair == 0:
             return i
-    if known < pairs:
-        raise InsufficientPrecision(f"digit pair {known} unknown")
     return None
 
 
 def E_prefix_member(x: PadicNumber, k: int) -> bool:
-    """No zero digit pair among the first k pairs of x in Z_p."""
+    """No zero digit pair among the first k pairs of x in Z_p; raises when
+    the scan reaches a pair that is not fully known."""
     if k < 0:
         raise DomainError("pair count must be nonnegative")
-    return _first_zero_pair(x, k) is None
+    known = k if x.exact is not None else min(k, x.abs_precision // 2)
+    i = _first_zero_pair(x.residue(2 * known), x.prime, known)
+    if i is None and known < k:
+        raise InsufficientPrecision(f"digit pair {known} unknown")
+    return i is None
 
 
 def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
@@ -893,13 +936,14 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         pairs = x.abs_precision // 2
         if pairs < 1:
             raise InsufficientPrecision("first digit pair unknown")
-        i = _first_zero_pair(x, pairs)
+        r = x.residue(2 * pairs)
+        i = _first_zero_pair(r, p, pairs)
         if i is None:
             # no zero pair among the known pairs: agrees with x so far
             return x.truncated(2 * pairs)
         if i == 0:
             return PadicNumber.zero(p, precision)
-        return PadicNumber.from_int(x.residue(2 * i), p, precision)
+        return PadicNumber.from_int(r % p ** (2 * i), p, precision)
 
     def deviation_witness(x: PadicNumber, limit: int) -> Iterator:
         """Perturbations of an all-pairs-nonzero point that zero out one
@@ -919,25 +963,33 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             raise InsufficientPrecision(
                 f"continuity modulus up to m = {m_max} needs "
                 f"{2 * m_max + 2} digits")
-        # norm_upper(z) < p**-(2m+1) iff z is an exact zero or
-        # valuation_bound(z) > 2m+1
-        draw = Stream(seed)
-        checked = 0
+        # x is a residue mod p**precision from Stream.below, the draw that
+        # draw.zp makes a point of, and y is x plus a drawn offset in
+        # p**(2m+2) Z_p; f reads both through the zero-pair kernel its
+        # evaluate uses.  f of a residue r is exact, r mod p**2i before its
+        # first zero pair i (0 when i = 0), or else r known mod
+        # p**(2 half); every precision involved is at least 2m+2, so
+        # |f(x) - f(y)| < p**-(2m+1) iff the two integers agree mod
+        # p**(2m+2).  The kernel scans all the pairs, not only the m+1 that
+        # x and y share, so the check reads every digit that f reads
+        half = precision // 2
+        mods = [p ** (2 * i) for i in range(half + 1)]
+        below, top = Stream(seed).below, p ** precision
+
+        def f(r: int) -> int:
+            i = _first_zero_pair(r, p, half)
+            return r % mods[half if i is None else i]
+
         for i in range(pairs):
             m = 1 + i % m_max
-            x = draw.zp(p, precision)
-            offset = draw.zp(p, precision, min_valuation=2 * m + 2)
-            y = x + offset
-            # y - x is the offset, known to the same precision as x
-            v = offset.valuation_bound()
-            if v is not None and v <= 2 * m + 1:
-                continue
-            checked += 1
-            e = (evaluate(x) - evaluate(y)).valuation_bound()
-            if e is not None and e <= 2 * m + 1:
-                return ClaimResult("continuity-modulus", False,
-                                   {"m": m, "x": x.render()})
-        return ClaimResult("continuity-modulus", checked > 0,
+            step = mods[m + 1]
+            x = below(top)
+            y = (x + below(top // step) * step) % top
+            if (f(x) - f(y)) % step:
+                return ClaimResult("continuity-modulus", False, {
+                    "m": m,
+                    "x": PadicNumber.from_unit(p, 0, x, precision).render()})
+        return ClaimResult("continuity-modulus", pairs > 0,
                            {"pairs": pairs, "m_max": m_max})
 
     def claim_deviation(steps: int = 10, seed: int = 0) -> ClaimResult:

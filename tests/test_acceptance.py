@@ -65,7 +65,7 @@ def test_criterion_02_ball_step_probes():
     ok = True
     for trial in range(100):
         alphas = [PadicNumber.from_int(
-            rng._below(p ** 4) * p + 1 + rng._below(p - 1), p)
+            rng.below(p ** 4) * p + 1 + rng.below(p - 1), p)
             for _ in range(k)]  # random units
         comb = linear_combination(entries, alphas)
         zero = PadicNumber.zero(p)
@@ -95,7 +95,7 @@ def test_criterion_03_digit_spreading():
     rng = Stream(3)
     sets = [IndexSet(k, i, 0) for i in range(k)]
     entries = [thm34ii_gN(N, p, 32) for N in sets]
-    betas = [PadicNumber.from_int((1 + rng._below(p ** 4 - 1)) * p + 1, p)
+    betas = [PadicNumber.from_int((1 + rng.below(p ** 4 - 1)) * p + 1, p)
              for _ in range(k)]
     comb = linear_combination(entries, betas, 32)
     g = comb.function
@@ -160,7 +160,7 @@ def test_criterion_05_binomial_powers():
             x = rng.zp(p, 40, min_valuation=1)
             alpha = rng.nonzero(p, 40, (0, 1))
             h = PadicNumber.from_int(
-                p ** (2 + rng._below(6)) * (1 + rng._below(p - 1)), p, 40)
+                p ** (2 + rng.below(6)) * (1 + rng.below(p - 1)), p, 40)
             fd = (pow_one_plus(x + h, alpha, 40)
                   - pow_one_plus(x, alpha, 40)) / h
             an = alpha * pow_one_plus(x, alpha - PadicNumber.one(p, 40), 40)
@@ -219,7 +219,7 @@ def test_criterion_08_truncation_function():
     ok = r1.passed and r2.passed and r3.passed \
         and r3.details["steps"] == 40
     _report(8, "pair truncation: modulus, deviation >= p^-2, "
-               "quotient norms 1", ok and elapsed < 3.0, f"{elapsed:.2f}s")
+               "quotient norms 1", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
 def test_criterion_09_haar_mc():

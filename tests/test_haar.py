@@ -74,7 +74,7 @@ def test_digit_stream_deterministic_and_in_range():
 def _draws(seed):
     s = Stream(seed)
     return [s.zp(5, 32), s.nonzero(3, 20), s.no_zero_pair(2, 16),
-            s._below(10 ** 100)]
+            s.below(10 ** 100)]
 
 
 def test_stream_deterministic_per_seed_mod_2_64():
@@ -91,7 +91,7 @@ def test_stream_draw_hashes_bits_plus_64(monkeypatch):
     s = Stream(0)
     for n, blocks in ((2, 1), (2 ** 191, 1), (2 ** 192, 2), (2 ** 448, 3)):
         before = counter.calls
-        assert 0 <= s._below(n) < n
+        assert 0 <= s.below(n) < n
         assert counter.calls - before == blocks, n
 
 
@@ -99,7 +99,7 @@ def test_stream_draws_are_near_uniform():
     s = Stream(4)
     counts = [0] * 6
     for _ in range(6000):
-        counts[s._below(6)] += 1
+        counts[s.below(6)] += 1
     # 1000 expected per face; 5 sigma is about 150
     assert all(850 <= c <= 1150 for c in counts), counts
 
@@ -123,7 +123,7 @@ def test_stream_points_keep_their_contracts(p, monkeypatch):
     assert zero.is_bounded_zero and zero.abs_precision == n
     # the extreme draws: every residue 0, then every residue at its largest
     for top in (False, True):
-        monkeypatch.setattr(Stream, "_below",
+        monkeypatch.setattr(Stream, "below",
                             lambda self, m: m - 1 if top else 0)
         assert s.zp(p, n).is_bounded_zero != top
         y = s.nonzero(p, n)

@@ -259,10 +259,10 @@ def test_thm16_shell_values():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_head_and_offset_matches_digit_reads(p, rng):
     for v in range(-1, -7, -1):
-        num = rng._below(10 ** 6) * p + 1
+        num = rng.below(10 ** 6) * p + 1
         points = [PadicNumber.from_rational(num, p ** -v, p, 24)]
         for width in (1 - v, 2 - v, 20):
-            unit = rng._below(p ** width) * p + 1
+            unit = rng.below(p ** width) * p + 1
             points.append(PadicNumber.from_unit(p, v, unit, v + width))
         for x in points:
             head = sum(x.digit(i) * Fraction(p) ** i for i in range(v, 1))
@@ -680,8 +680,8 @@ def _kernel_inputs(rng, p, n):
     for v in (-2, 0, 0, 1, 3):
         for _ in range(4):
             digits = list(rng.nonzero(p, n, (v, v + 1)).digits)
-            z = rng._below(n // 2)  # plant a zero pair half of the time
-            if rng._below(2):
+            z = rng.below(n // 2)  # plant a zero pair half of the time
+            if rng.below(2):
                 digits[2 * z: 2 * z + 2] = [0, 0]
                 digits[0] = digits[0] or 1
             xs.append(PadicNumber.from_digits(p, v, digits, v + n))
@@ -832,30 +832,69 @@ def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
                        {"pairs": pairs, "m_max": m_max})
 
 
-def _assert_claims_match_references(p, size, seeds, m_maxes=(1, 10)):
-    n = DEFAULT_PRECISION
-    g = build_entry("thm34ii", p)
-    g_ref = _thm34ii_digit_sum(IndexSet(3, 0, 0), p, n)
-    f = build_entry("thm2_f", p)
+def _assert_claims_match_references(p, precision, size, seeds,
+                                    sets=(IndexSet(3, 0, 0),),
+                                    m_maxes=(1, 10)):
+    """Each whole ClaimResult equals the one its Fraction reference gives on
+    the per-digit reference functions."""
+    for N in sets:
+        g = thm34ii_gN(N, p, precision)
+        g_ref = _thm34ii_digit_sum(N, p, precision)
+        for seed in seeds:
+            assert g.run_claim("contraction", pairs=size, seed=seed) \
+                == _contraction_fraction(g_ref, p, precision, size, seed), \
+                (N, seed)
+    f = thm2_f(p, precision)
     for seed in seeds:
-        assert g.run_claim("contraction", pairs=size, seed=seed) \
-            == _contraction_fraction(g_ref, p, n, size, seed), seed
         for m_max in m_maxes:
             assert f.run_claim("continuity-modulus", pairs=size,
                                m_max=m_max, seed=seed) \
-                == _continuity_modulus_fraction(f.function, p, n, size,
-                                                m_max, seed), seed
+                == _continuity_modulus_fraction(
+                    lambda x: _thm2_f_by_digit(p, precision, x), p,
+                    precision, size, m_max, seed), (seed, m_max)
 
 
 @pytest.mark.parametrize("size", [1, 150])
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_sampled_claims_match_fraction_references(p, size):
-    _assert_claims_match_references(p, size, range(1, 6))
+    # odd precisions (2 (precision // 2) < precision), limb edges (k = 31 at
+    # p = 2, 3 and k = 20 at p = 5, 7) and draws of more than one sha256
+    # block (p**130 at p = 101)
+    for precision in (22, 23, 31, 32, 62, 63, 130):
+        _assert_claims_match_references(
+            p, precision, size, range(1, 6),
+            sets=(IndexSet(3, 0, 0), IndexSet(2, 1, 0)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampled_claims_match_fraction_references_at_full_size(p):
-    _assert_claims_match_references(p, 10_000, [100 + p], m_maxes=(10,))
+    _assert_claims_match_references(p, DEFAULT_PRECISION, 10_000, [100 + p],
+                                    m_maxes=(10,))
+
+
+def test_sampled_claims_report_the_reference_failure(monkeypatch):
+    # neither claim fails on a correct entry: a kernel that perturbs one
+    # output digit must make both fail on the pair the reference finds
+    import padiczoo.zoo as zoo
+    p, n = 3, DEFAULT_PRECISION
+    spread, first_zero_pair = zoo._spread, zoo._first_zero_pair
+    # digit 1 of a spread is always 0; copy digit 2 there
+    monkeypatch.setattr(zoo, "_spread", lambda u, table: (
+        lambda s: s + s // p ** 2 % p * p)(spread(u, table)))
+    g = thm34ii_gN(IndexSet(3, 0, 0), p, n)
+    got = g.run_claim("contraction", seed=7)
+    assert not got.passed and set(got.details) == {"x", "y"}
+    assert got == _contraction_fraction(g.function, p, n, 10_000, 7)
+    # truncate one pair before the first zero pair
+    monkeypatch.setattr(
+        zoo, "_first_zero_pair",
+        lambda r, p, pairs: (lambda i: i - 1 if i else i)(
+            first_zero_pair(r, p, pairs)))
+    f = thm2_f(p, n)
+    got = f.run_claim("continuity-modulus", seed=7)
+    assert not got.passed and set(got.details) == {"m", "x"}
+    assert got == _continuity_modulus_fraction(f.function, p, n, 10_000, 10,
+                                               7)
 
 
 def test_claims_refuse_bad_sizes():
