@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_lip_rows
+import padiczoo.zoo as zoo
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
@@ -873,23 +874,27 @@ def test_sampled_claims_match_fraction_references_at_full_size(p):
 
 
 def test_sampled_claims_report_the_reference_failure(monkeypatch):
-    # neither claim fails on a correct entry: a kernel that perturbs one
-    # output digit must make both fail on the pair the reference finds
-    import padiczoo.zoo as zoo
+    # neither claim fails on a correct entry: a kernel that perturbs the
+    # output must make both fail on the pair the reference finds
     p, n = 3, DEFAULT_PRECISION
     spread, first_zero_pair = zoo._spread, zoo._first_zero_pair
-    # digit 1 of a spread is always 0; copy digit 2 there
-    monkeypatch.setattr(zoo, "_spread", lambda u, table: (
-        lambda s: s + s // p ** 2 % p * p)(spread(u, table)))
+
+    def spread_digit_2_into_1(u, table):
+        # digit 1 of a spread is always 0; copy digit 2 there
+        s = spread(u, table)
+        return s + s // p ** 2 % p * p
+
+    def one_pair_early(r, p, pairs):
+        # truncate one pair before the first zero pair
+        i = first_zero_pair(r, p, pairs)
+        return i - 1 if i else i
+
+    monkeypatch.setattr(zoo, "_spread", spread_digit_2_into_1)
     g = thm34ii_gN(IndexSet(3, 0, 0), p, n)
     got = g.run_claim("contraction", seed=7)
     assert not got.passed and set(got.details) == {"x", "y"}
     assert got == _contraction_fraction(g.function, p, n, 10_000, 7)
-    # truncate one pair before the first zero pair
-    monkeypatch.setattr(
-        zoo, "_first_zero_pair",
-        lambda r, p, pairs: (lambda i: i - 1 if i else i)(
-            first_zero_pair(r, p, pairs)))
+    monkeypatch.setattr(zoo, "_first_zero_pair", one_pair_early)
     f = thm2_f(p, n)
     got = f.run_claim("continuity-modulus", seed=7)
     assert not got.passed and set(got.details) == {"m", "x"}
