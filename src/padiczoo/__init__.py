@@ -12,7 +12,7 @@ from .core import (
 from .families import IndexSet, generate_family, cell
 from .quotients import PadicFunction, WitnessTrace, phi_r, probe_derivative, \
     probe_strict
-from .vanderput import VdPSeries, criterion_products, decompose
+from .vanderput import criterion_products
 from .zoo import ENTRY_NAMES, ZooEntry, build_entry
 from .haar import MCReport, estimate_E_prefix_series, estimate_Y0
 
@@ -32,9 +32,7 @@ __all__ = [
     "phi_r",
     "probe_derivative",
     "probe_strict",
-    "VdPSeries",
     "criterion_products",
-    "decompose",
     "ENTRY_NAMES",
     "ZooEntry",
     "build_entry",

@@ -20,7 +20,7 @@ from .families import IndexSet
 from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
     probe_derivative, probe_strict
-from .vanderput import ball_exponent, criterion_products, schedule_exponent
+from .vanderput import criterion_products, schedule_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -318,60 +318,6 @@ def thm34ii_gN(N: IndexSet, p: int,
 # ---------------------------------------------------------------------------
 # disjoint van der Put balls and the sparse coefficient schedule
 
-@dataclass(frozen=True)
-class BallSystem:
-    """Pairwise disjoint van der Put balls n_k + p**t_k Z_p, enumerated by
-    the increasing bijection sigma.
-
-    The centers are u * p**k, 1 <= u < p: exactly the ones the scan in
-    ``greedy_disjoint_balls`` selects.  The closed form keeps sigma cheap at
-    large indices, and tests cross-check it against the scan.
-    """
-
-    prime: int
-
-    def sigma(self, n: int) -> int:
-        """The (n+1)-st center, in increasing order."""
-        if n < 0:
-            raise DomainError("sigma is defined on N_0")
-        p = self.prime
-        q = max(p - 1, 1)
-        return (n % q + 1) * p ** (n // q)
-
-    def sigma_inverse_of_point(self, x: PadicNumber) -> Optional[int]:
-        """Index n with x in the ball around sigma(n), or None for x = 0.
-
-        Every nonzero p-adic integer lies in exactly one ball: the one
-        whose center shares x's lowest nonzero digit position and value.
-        """
-        if x.is_exact_zero:
-            return None
-        if x.is_bounded_zero:
-            raise InsufficientPrecision(
-                "ball membership needs a resolved leading digit")
-        if x.valuation < 0:
-            raise DomainError("ball system lives on Z_p")
-        p = self.prime
-        j, u = x.valuation, x.digit(x.valuation)
-        return j * (p - 1) + (u - 1) if p > 2 else j
-
-    def radius_exponent(self, n: int) -> int:
-        return ball_exponent(self.sigma(n), self.prime)
-
-
-def greedy_disjoint_balls(p: int, scan_limit: int) -> list[int]:
-    """Reference construction: scan 1..scan_limit, keeping each n whose van
-    der Put ball avoids every ball kept so far."""
-    chosen: list[tuple[int, int]] = []  # (center, modulus exponent)
-    out: list[int] = []
-    for n in range(1, scan_limit + 1):
-        t = ball_exponent(n, p)
-        if all(n % p ** tj != cj % p ** tj for cj, tj in chosen):
-            chosen.append((n, t))
-            out.append(n)
-    return out
-
-
 def lip_coefficient_rows(N: IndexSet, p: int,
                          n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
     """Integer rows (n, sigma(n), m_sigma(n), n in N) of the sparse van der
@@ -398,20 +344,24 @@ def lip_fN(N: IndexSet, p: int,
            precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """Sparse van der Put series with coefficient p**m_sigma(n) on the ball
     around sigma(n) for n in N: zero-derivative strictly differentiable but
-    not Lipschitz of any order above 1."""
-    balls = BallSystem(p)
+    not Lipschitz of any order above 1.
+
+    The centers sigma(n) = u * p**j with 1 <= u < p have the pairwise
+    disjoint balls u * p**j + p**(j+1) Z_p, which cover Z_p minus 0.  So a
+    point's ball is the one of its valuation j and leading digit u, at
+    n = j * max(p - 1, 1) + u - 1, and no other digit is read."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
-        n = balls.sigma_inverse_of_point(x)
-        k = balls.sigma(n)
-        t = balls.radius_exponent(n)
-        if x.abs_precision < t:
+        if x.is_bounded_zero:
             raise InsufficientPrecision(
-                f"ball membership at index {n} needs {t} digits")
-        if x.residue(t) != k % p ** t or n not in N:
+                "ball membership needs a resolved leading digit")
+        if x.valuation < 0:
+            raise DomainError("ball system lives on Z_p")
+        n = x.valuation * max(p - 1, 1) + x.unit % p - 1
+        if n not in N:
             return PadicNumber.zero(p, precision)
         for _, _, m, _ in lip_coefficient_rows(N, p, n):
             pass  # m_sigma(n) is the exponent of the last row
@@ -906,18 +856,6 @@ def _first_zero_pair(r: int, p: int, pairs: int) -> Optional[int]:
     return None
 
 
-def E_prefix_member(x: PadicNumber, k: int) -> bool:
-    """No zero digit pair among the first k pairs of x in Z_p; raises when
-    the scan reaches a pair that is not fully known."""
-    if k < 0:
-        raise DomainError("pair count must be nonnegative")
-    known = k if x.exact is not None else min(k, x.abs_precision // 2)
-    i = _first_zero_pair(x.residue(2 * known), x.prime, known)
-    if i is None and known < k:
-        raise InsufficientPrecision(f"digit pair {known} unknown")
-    return i is None
-
-
 def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """Identity until the first zero digit pair, then truncation there; zero
     when the first pair already vanishes.  Continuous; differentiable
@@ -1026,6 +964,9 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
         if x.is_bounded_zero:
+            if x.abs_precision < 0:
+                # its refinements include points of valuation < 0
+                raise InsufficientPrecision("membership in Z_p unknown")
             return PadicNumber.bounded_zero(p, x.abs_precision)
         if x.valuation < 0:
             raise DomainError("defined on Z_p only")

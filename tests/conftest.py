@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padiczoo.cli import main
+from padiczoo.core import DEFAULT_PRECISION, DomainError, PadicNumber
 from padiczoo.haar import Stream
-from padiczoo.vanderput import schedule_exponent
-from padiczoo.zoo import BallSystem
+from padiczoo.vanderput import _ilog, schedule_exponent
 
 
 @pytest.fixture
@@ -30,12 +30,41 @@ def assert_cli_golden(capsys, argvs, digest: str, exits: str) -> None:
 
 def reference_lip_rows(N, p: int, n_limit: int):
     """Rows (n, sigma(n), m_sigma(n), |a_sigma(n)|) of the sparse van der Put
-    series from the closed forms: a fresh ``BallSystem.sigma`` per row, the
-    cumulative max of ``schedule_exponent`` and a ``Fraction`` norm."""
-    balls = BallSystem(p)
+    series from the closed forms: sigma(n) = (n mod q + 1) * p**(n div q)
+    with q = max(p - 1, 1) afresh on every row, the cumulative max of
+    ``schedule_exponent`` and a ``Fraction`` norm."""
+    q = max(p - 1, 1)
     m_running = 0
     for n in range(n_limit + 1):
-        k = balls.sigma(n)
+        k = (n % q + 1) * p ** (n // q)
         m_running = max(m_running, schedule_exponent(k, p))
         yield n, k, m_running, Fraction(p) ** (-m_running) if n in N \
             else Fraction(0)
+
+
+# --- van der Put references ------------------------------------------------
+
+def ball_exponent(n: int, p: int) -> int:
+    """|x - n|_p < 1/n is decided as |x - n|_p <= p**-ball_exponent(n, p)."""
+    return _ilog(n, p) + 1
+
+
+def drop_leading_digit(n: int, p: int) -> int:
+    """n with its most significant base-p digit removed (n >= 1)."""
+    if n < 1:
+        raise DomainError("defined for n >= 1 only")
+    return n % p ** _ilog(n, p)
+
+
+def decompose(f, p: int, precision: int = DEFAULT_PRECISION):
+    """The van der Put coefficients n -> a_n of f: a_0 = f(0) and
+    a_n = f(n) - f(n_), where n_ drops the leading base-p digit of n."""
+
+    def coefficient(n: int) -> PadicNumber:
+        if n == 0:
+            return f(PadicNumber.zero(p, precision))
+        m = drop_leading_digit(n, p)
+        return f(PadicNumber.from_int(n, p, precision)) \
+            - f(PadicNumber.from_int(m, p, precision))
+
+    return coefficient

