@@ -15,13 +15,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import tee
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     is_prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .vanderput import criterion_products
 from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
 from .families import IndexSet
 
@@ -145,18 +143,15 @@ def cmd_table(args, config: RunConfig) -> int:
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
                 "product_n1", f"product_alpha_{alpha}"])
-    # criterion_products at alpha = 1 gives the pair (k, p**m) of |a_k| * k
-    # for each member row; p**m also gives the norm p**-m and the product
-    # |a_k| * k**alpha as the pair (k**alpha, p**m), or (1, k**-alpha * p**m)
-    # for alpha < 0
-    rows, kept = tee(lip_coefficient_rows(N, p, args.n_max))
-    ones = criterion_products(
-        ((k, m) for _, k, m, member in kept if member), 1, p)
-    for n, k, m, member in rows:
+    # q = p**m gives the norm p**-m and the products |a_k| * k as the pair
+    # (k, q) and |a_k| * k**alpha as (k**alpha, q), or (1, k**-alpha * q) for
+    # alpha < 0; m never decreases along sigma, so q is a running power
+    q, m_q = 1, 0
+    for n, k, m, member in lip_coefficient_rows(N, p, args.n_max):
         if member:
-            k1, q = next(ones)
+            q, m_q = q * p ** (m - m_q), m
             a, b = (k ** alpha, q) if alpha >= 0 else (1, k ** -alpha * q)
-            w.writerow([n, f"{p}^{-m}", 1 / q, _decimal(k1, q),
+            w.writerow([n, f"{p}^{-m}", 1 / q, _decimal(k, q),
                         _decimal(a, b)])
         else:
             w.writerow([n, "0", 0.0, 0.0, 0.0])

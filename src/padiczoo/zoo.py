@@ -180,19 +180,16 @@ def thm34i_fN(N: IndexSet, p: int,
 # ---------------------------------------------------------------------------
 # digit-spreading contraction x_n -> x_n p^{2n}
 
-# thm34ii's kernel reads x in machine-word limbs of k digits (p**k < 2**62)
-# and each limb in chunks of c digits, the most with p**c <= 256, through a
-# table of the chunk's spread for each of its p**c values
+# thm34ii's kernel reads x in limbs of k digits (the largest multiple of c
+# with p**k < 2**124, two machine words), each in chunks of c digits (the
+# most with p**c <= 256) through a table of the chunk's p**c spreads
 _CHUNK_VALUES = 256
 
 
 @functools.lru_cache(maxsize=256)
 def _chunk_table(p: int, c: int, offsets: tuple) -> Sequence[int]:
     """For each w in [0, p**c): the sum of digit j of w times p**2j over the
-    member offsets j.  A one-digit chunk (p >= 17) is its own spread, so a
-    large p builds no table."""
-    if c == 1:
-        return range(p)
+    member offsets j."""
     t = [0]
     for j in range(c):
         w2 = p ** (2 * j) if j in offsets else 0
@@ -203,33 +200,39 @@ def _chunk_table(p: int, c: int, offsets: tuple) -> Sequence[int]:
 @functools.lru_cache(maxsize=256)
 def _spread_table(N: IndexSet, p: int, low: int, hi: int) -> tuple:
     """What ``_spread`` needs for the digits low, low+1, ... below hi: p**k,
-    p**2k, p**2low, p**c, and for each limb the triples (p**b, chunk table,
-    p**2b) of its chunks at offsets b that hold a member."""
-    k, c = max(1, 62 // p.bit_length()), 1
-    while p ** (c + 1) <= _CHUNK_VALUES:
-        c += 1
+    p**2k, p**2low, p**c, and for each limb the triples (p**(b - b'), chunk
+    table or None for one digit, p**2b) of its chunks at offsets b that hold
+    a member, where b' is the offset of the chunk before (0 for the first)."""
+    c = next(c for c in count(1) if p ** (c + 1) > _CHUNK_VALUES)
+    k = c * next(i for i in count(1) if p ** (c * i + c) >= 2 ** 124)
     limbs = []
     for a in range(low, hi, k):
-        chunks = []
+        chunks, last = [], 0
         for b in range(0, min(k, hi - a), c):
-            offsets = tuple(j for j in range(min(c, k - b, hi - a - b))
+            offsets = tuple(j for j in range(min(c, hi - a - b))
                             if a + b + j in N)
             if offsets:
-                chunks.append((p ** b, _chunk_table(p, c, offsets),
-                               p ** (2 * b)))
+                chunks.append((p ** (b - last), _chunk_table(p, c, offsets)
+                               if c > 1 else None, p ** (2 * b)))
+                last = b
         limbs.append(tuple(chunks))
     return p ** k, p ** (2 * k), p ** (2 * low), p ** c, tuple(limbs)
 
 
 def _spread(u: int, table: tuple) -> int:
     """thm34ii's kernel: sum of a_n * p**2n over the members n of the
-    table's N in [low, hi), where a_n is digit n - low of the integer u."""
+    table's N in [low, hi), where a_n is digit n - low of the integer u.
+    Each chunk is read after dividing its limb by a small power of p."""
     limb, limb_out, scale, chunk, limbs = table
     sums = []
     for chunks in limbs:
         u, w = divmod(u, limb)
-        sums.append(sum([t[w // pb % chunk] * w2 for pb, t, w2 in chunks]))
-    # combine the limb sums by Horner's rule in p**2k
+        s = 0
+        for skip, t, w2 in chunks:
+            w //= skip
+            d = w % chunk
+            s += (t[d] if t else d) * w2
+        sums.append(s)
     total = 0
     for s in reversed(sums):
         total = total * limb_out + s
@@ -247,13 +250,11 @@ def thm34ii_gN(N: IndexSet, p: int,
         x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, 2 * precision)
-        if x.is_bounded_zero:
-            if x.abs_precision < 1:
-                raise InsufficientPrecision("no nonnegative digits known")
-            return PadicNumber.bounded_zero(p, 2 * x.abs_precision)
         hi = x.abs_precision
         if hi <= 0:
             raise InsufficientPrecision("no nonnegative digits known")
+        if x.is_bounded_zero:
+            return PadicNumber.bounded_zero(p, 2 * hi)
         # the digits from position low = max(0, v) upward
         low = max(0, x.valuation)
         total = _spread(x.unit // p ** (low - x.valuation),
@@ -318,26 +319,42 @@ def thm34ii_gN(N: IndexSet, p: int,
 # ---------------------------------------------------------------------------
 # disjoint van der Put balls and the sparse coefficient schedule
 
+def _sigma_parts(n: int, p: int) -> tuple[int, int]:
+    """(u, j) with sigma(n) = u * p**j and 1 <= u < max(p, 2)."""
+    j, r = divmod(n, max(p - 1, 1))
+    return r + 1, j
+
+
 def lip_coefficient_rows(N: IndexSet, p: int,
                          n_limit: int) -> Iterator[tuple[int, int, int, bool]]:
     """Integer rows (n, sigma(n), m_sigma(n), n in N) of the sparse van der
     Put series, for n <= n_limit: |a_sigma(n)| is p**-m_sigma(n) for n in N
     and 0 otherwise.
 
-    sigma(n) = (n mod q + 1) * p**(n div q) with q = max(p - 1, 1) is kept
-    as a running power of p, multiplied by p once per wrap, so no row
-    computes a fresh power.  The schedule exponent is made nondecreasing
-    along sigma by a cumulative max of ``schedule_exponent``.
+    sigma(n) = u * p**j (``_sigma_parts``) keeps p**j as a running power of
+    p, multiplied by p once per wrap (u = 1), so no row computes a fresh
+    power.  The schedule exponent is made nondecreasing along sigma by a
+    cumulative max of ``schedule_exponent``.
     """
-    q = max(p - 1, 1)
     power, m_running = 1, 0
     for n in range(n_limit + 1):
-        r = n % q
-        if r == 0 and n:
+        u, _ = _sigma_parts(n, p)
+        if u == 1 and n:
             power *= p
-        k = (r + 1) * power
+        k = u * power
         m_running = max(m_running, schedule_exponent(k, p))
         yield n, k, m_running, n in N
+
+
+def _lip_products(N: IndexSet, p: int, n_limit: int,
+                  alpha: int) -> Iterator[tuple[int, tuple]]:
+    """(n, |a_sigma(n)| sigma(n)**alpha as an integer pair) for the members
+    n of N up to n_limit, in lowest terms: for sigma(n) = u p**j the row
+    (u, m - alpha j) gives p**-m (u p**j)**alpha unchanged."""
+    rows, keys = tee((n, _sigma_parts(n, p), m) for n, _, m, member
+                     in lip_coefficient_rows(N, p, n_limit) if member)
+    return zip((n for n, _, _ in keys), criterion_products(
+        ((u, m - alpha * j) for _, (u, j), m in rows), alpha, p))
 
 
 def lip_fN(N: IndexSet, p: int,
@@ -369,19 +386,11 @@ def lip_fN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
 
-    def products(n_limit: int, alpha: int) -> Iterator[tuple[int, tuple]]:
-        """(n, |a_sigma(n)| sigma(n)**alpha as an integer pair) for the
-        members n of N up to n_limit."""
-        rows, keys = tee((n, k, m) for n, k, m, member
-                         in lip_coefficient_rows(N, p, n_limit) if member)
-        return zip((n for n, _, _ in keys), criterion_products(
-            ((k, m) for _, k, m in rows), alpha, p))
-
     def claim_n1_decay(n_limit: int = 10_000) -> ClaimResult:
         # the products a / q are compared exactly, as integer
         # cross-products, with the bound p / log n at the float log n
         worst_a, worst_q, checked = 0, 1, 0
-        for n, (a, q) in products(n_limit, 1):
+        for n, (a, q) in _lip_products(N, p, n_limit, 1):
             if n < 2:
                 continue
             checked += 1
@@ -397,7 +406,7 @@ def lip_fN(N: IndexSet, p: int,
                              threshold: int = 100) -> ClaimResult:
         # the running sup of the products first exceeds the threshold
         # where a single one does
-        first_cross = next((n for n, (a, q) in products(n_limit, 2)
+        first_cross = next((n for n, (a, q) in _lip_products(N, p, n_limit, 2)
                             if a > threshold * q), None)
         return ClaimResult("lip2-unbounded", first_cross is not None, {
             "n_limit": n_limit, "threshold": threshold,
@@ -784,9 +793,6 @@ def prop26_fN(N: Optional[IndexSet], p: int,
     None); zero elsewhere.  Locally constant off 0 with zero derivative,
     not Lipschitz of any positive order at 0."""
 
-    def member(n: int) -> bool:
-        return True if N is None else n in N
-
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
         if x.is_exact_zero:
@@ -795,7 +801,7 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             return PadicNumber.bounded_zero(p, _square_index(x.abs_precision))
         v = x.valuation
         n = math.isqrt(v) if v >= 1 else 0
-        if n >= 1 and n * n == v and member(n):
+        if n >= 1 and n * n == v and (N is None or n in N):
             return PadicNumber.from_int(p ** n, p, precision + n)
         return PadicNumber.zero(p, precision)
 

@@ -133,7 +133,7 @@ def test_criterion_04_lip_scale():
     r1 = e.run_claim("n1-decay", n_limit=10_000)
     r2 = e.run_claim("lip2-unbounded", n_limit=10_000, threshold=100)
     elapsed = time.monotonic() - t0
-    ok = r1.passed and r2.passed and elapsed < 3.0
+    ok = r1.passed and r2.passed and elapsed < 1.0
     _report(4, "sparse series: |a|s <= p/ln n, sup |a|s^2 > 100",
             ok, f"{elapsed:.1f}s, crossing at n={r2.details['first_crossing']}")
 

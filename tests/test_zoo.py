@@ -1,7 +1,8 @@
 import functools
 import inspect
 from fractions import Fraction
-from itertools import takewhile
+from itertools import count, takewhile
+from math import gcd
 from typing import Iterator
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ball_exponent, decompose, reference_lip_rows
 import padiczoo.zoo as zoo
+from padiczoo.cli import _decimal
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.families import IndexSet
@@ -332,6 +334,23 @@ def test_lip_claims_match_fraction_reference(p):
         r = e.run_claim("lip2-unbounded", n_limit=400, threshold=threshold)
         assert r.passed == (crossing is not None)
         assert r.details["first_crossing"] == crossing
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lip_products_are_criterion_products_in_lowest_terms(p):
+    # the claims' pairs equal criterion_products on the rows (sigma(n), m)
+    # as fractions (cross-multiplied, the claims' pair coprime), with the
+    # same correctly rounded a / q
+    N = IndexSet(3, 0, 0)
+    rows = [(n, k, m) for n, k, m, member
+            in lip_coefficient_rows(N, p, 10_000) if member]
+    for alpha in (1, 2):
+        got = list(zoo._lip_products(N, p, 10_000, alpha))
+        want = criterion_products([(k, m) for _, k, m in rows], alpha, p)
+        assert [n for n, _ in got] == [n for n, _, _ in rows]
+        for (n, (a, q)), (b, r) in zip(got, want):
+            assert gcd(a, q) == 1 and a * r == b * q, (alpha, n)
+            assert _decimal(a, q) == _decimal(b, r), (alpha, n)
 
 
 # --- analytic shell functions ------------------------------------------------
@@ -790,12 +809,46 @@ def test_kernels_match_per_digit_reference(p, n):
             lambda x: _thm2_f_by_digit(p, n, x), x), x.render()
 
 
+def _limb_and_chunk(p: int) -> tuple[int, int]:
+    """The digits per limb and per chunk that ``zoo._spread_table`` uses."""
+    limb, _, _, chunk, _ = zoo._spread_table(IndexSet(3, 0, 0), p, 0, 1)
+    return tuple(next(e for e in count(1) if p ** e == b)
+                 for b in (limb, chunk))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 17, 101]),
+       N=st.sampled_from([IndexSet(3, 0, 0), IndexSet(3, 1, 0),
+                          IndexSet(2, 1, 0)]),
+       data=st.data())
+def test_spread_matches_digit_sum(p, N, data):
+    # the kernel on its own, against a digit-by-digit sum of a_n p**2n over
+    # a window [low, hi) that may start past 0 and whose width may end
+    # next to a chunk or limb edge
+    low = data.draw(st.integers(0, 40), label="low")
+    edge = data.draw(st.sampled_from(_limb_and_chunk(p)), label="edge")
+    top = 1100 - low
+    width = data.draw(st.one_of(
+        st.integers(1, top),
+        st.builds(lambda j, d: min(top, max(1, edge * j + d)),
+                  st.integers(1, top // edge), st.sampled_from([-1, 0, 1]))),
+        label="width")
+    u = data.draw(st.one_of(st.integers(0, p ** width - 1),
+                            st.just(p ** width - 1)), label="u")
+    want, r = 0, u
+    for n in range(low, low + width):
+        r, d = divmod(r, p)
+        if n in N:
+            want += d * p ** (2 * n)
+    assert zoo._spread(u, zoo._spread_table(N, p, low, low + width)) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7, 101]),
        N=st.sampled_from([IndexSet(3, 0, 0), IndexSet(2, 1, 0)]),
        data=st.data())
 def test_thm34ii_limb_kernel_matches_digit_sum(p, N, data):
-    k = 62 // p.bit_length()
+    k, _ = _limb_and_chunk(p)
 
     def width(label):
         # 1..1100 digits, or one next to a limb edge k*j
