@@ -203,7 +203,7 @@ def _spread_table(N: IndexSet, p: int, low: int, hi: int) -> tuple:
     p**2k, p**2low, p**c, and for each limb the triples (p**(b - b'), chunk
     table or None for one digit, p**2b) of its chunks at offsets b that hold
     a member, where b' is the offset of the chunk before (0 for the first)."""
-    c = next(c for c in count(1) if p ** (c + 1) > _CHUNK_VALUES)
+    c = next(e for e in count(1) if p ** (e + 1) > _CHUNK_VALUES)
     k = c * next(i for i in count(1) if p ** (c * i + c) >= 2 ** 124)
     limbs = []
     for a in range(low, hi, k):
@@ -320,7 +320,7 @@ def thm34ii_gN(N: IndexSet, p: int,
 # disjoint van der Put balls and the sparse coefficient schedule
 
 def _sigma_parts(n: int, p: int) -> tuple[int, int]:
-    """(u, j) with sigma(n) = u * p**j and 1 <= u < max(p, 2)."""
+    """sigma(n) = u * p**j as (u, j), with 1 <= u < max(p, 2) prime to p."""
     j, r = divmod(n, max(p - 1, 1))
     return r + 1, j
 
