@@ -1,8 +1,8 @@
 """Command-line front end: evaluate gallery functions, run witness claims,
 emit criterion tables and Monte Carlo reports.
 
-Exit codes: 0 pass, 1 claim failure, 2 usage/parse error, 3 insufficient
-precision.
+Exit codes: 0 pass, 1 claim failure, 2 usage, parse or output error, 3
+insufficient precision.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ class RunConfig:
                 "seed": self.seed}
 
 
+def _emit_json(config: RunConfig, **fields) -> None:
+    """The one JSON report envelope: schema, the run settings, then fields."""
+    _emit(config, json.dumps({"schema": 1, **config.echo(), **fields},
+                             indent=2))
+
+
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
         with open(config.out, "w") as fh:
@@ -72,9 +78,8 @@ def cmd_eval(args, config: RunConfig) -> int:
     x = parse_padic(args.x, config.prime, config.precision)
     value = entry.function(x)
     if config.fmt == "json":
-        _emit(config, json.dumps({"schema": 1, **config.echo(),
-                                  "entry": entry.name, "x": x.render(),
-                                  "value": value.render()}, indent=2))
+        _emit_json(config, entry=entry.name, x=x.render(),
+                   value=value.render())
     else:
         _emit(config, value.render())
     return EXIT_PASS
@@ -98,10 +103,7 @@ def cmd_verify(args, config: RunConfig) -> int:
             raise DomainError("--limit must be nonnegative")
         kwargs[key] = args.limit
     result = entry.run_claim(args.claim, **kwargs)
-    report = json.dumps({"schema": 1, **config.echo(),
-                         "entry": entry.name,
-                         **result.to_json_dict()}, indent=2)
-    _emit(config, report)
+    _emit_json(config, entry=entry.name, **result.to_json_dict())
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
@@ -117,10 +119,8 @@ def _verify_haar(args, config: RunConfig) -> int:
         raise DomainError(
             f"unknown haar claim {args.claim!r}; have {HAAR_CLAIMS}")
     passed = all(r.within(3.0) for r in reports)
-    body = [json.loads(r.to_json()) for r in reports]
-    _emit(config, json.dumps({"schema": 1, **config.echo(),
-                              "entry": "haar", "claim": args.claim,
-                              "passed": passed, "reports": body}, indent=2))
+    _emit_json(config, entry="haar", claim=args.claim, passed=passed,
+               reports=[r.to_json_dict() for r in reports])
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -163,14 +163,8 @@ def cmd_haar(args, config: RunConfig) -> int:
     reports = estimate_E_prefix_series(config.prime, args.k, args.samples,
                                        config.seed)
     y0 = estimate_Y0(config.prime, args.samples, config.seed)
-    body = {
-        "schema": 1,
-        **config.echo(),
-        "samples": args.samples,
-        "Y0": json.loads(y0.to_json()),
-        "E_prefix": [json.loads(r.to_json()) for r in reports],
-    }
-    _emit(config, json.dumps(body, indent=2))
+    _emit_json(config, samples=args.samples, Y0=y0.to_json_dict(),
+               E_prefix=[r.to_json_dict() for r in reports])
     ok = y0.within(3.0) and all(r.within(3.0) for r in reports)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -257,7 +251,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"insufficient precision: {exc} "
               f"(retry with a larger --precision)", file=sys.stderr)
         return EXIT_PRECISION
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

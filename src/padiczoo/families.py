@@ -65,6 +65,9 @@ class CellEnumerator:
         grounds = {s.ground_min for s in family}
         if len(sizes) != 1 or len(grounds) != 1:
             raise DomainError("sets must come from a single family")
+        if len({s.member_bit for s in family}) != len(family):
+            # a repeated set with opposite signature bits has an empty cell
+            raise DomainError("sets must be distinct members of the family")
         self.family = list(family)
         self.signature = [int(b) for b in signature]
         if any(b not in (0, 1) for b in self.signature):

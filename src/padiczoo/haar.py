@@ -16,7 +16,6 @@ random point in the package.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import struct
 import sys
@@ -145,8 +144,8 @@ class MCReport:
     def within(self, sigmas: float = 3.0) -> bool:
         return abs(self.estimate - self.target) <= sigmas * self.stderr
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "schema": 1,
             "prime": self.prime,
             "samples": self.samples,
@@ -157,7 +156,7 @@ class MCReport:
             "target": self.target,
             "z_score": self.z_score,
             **self.extras,
-        }, indent=2)
+        }
 
 
 def _binomial_report(p: int, samples: int, seed: int, statistic: str,

@@ -12,33 +12,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import DomainError
-
-
-def _ilog(n: int, p: int) -> int:
-    """floor(log_p n) for n >= 1: a floating-point estimate, corrected with
-    exact integer comparisons."""
-    s = int(math.log(n, p))
-    power = p ** s
-    while s > 0 and power > n:
-        s, power = s - 1, power // p
-    while power * p <= n:
-        s, power = s + 1, power * p
-    return s
-
-
-def power_str(p: int, norm: Fraction) -> str:
-    """Render an exact power of p (or 0) as e.g. "2^-5"."""
-    if norm == 0:
-        return "0"
-    if norm >= 1:
-        k = _ilog(norm.numerator, p)
-    else:
-        k = -_ilog(norm.denominator, p)
-    return f"{p}^{k}"
 
 
 def criterion_products(rows: Iterable[tuple[int, int]], alpha: int,

@@ -33,7 +33,7 @@ class ClaimResult:
     details: dict
 
     def to_json_dict(self) -> dict:
-        return {"schema": 1, "claim": self.claim, "passed": self.passed,
+        return {"claim": self.claim, "passed": self.passed,
                 "details": self.details}
 
 
@@ -58,8 +58,8 @@ class ZooEntry:
     claims: dict = field(default_factory=dict)
 
     def run_claim(self, name: str, **kwargs) -> ClaimResult:
-        """Run a claim; an integer size below its floor (``seed`` has
-        none) raises ``DomainError``."""
+        """Report claim ``name``'s (passed, details) under its name; an
+        integer size below its floor (``seed`` has none) raises DomainError."""
         if name not in self.claims:
             raise DomainError(
                 f"unknown claim {name!r}; have {sorted(self.claims)}")
@@ -67,26 +67,13 @@ class ZooEntry:
             low = _SIZE_FLOORS.get(key, 0)
             if key != "seed" and isinstance(value, int) and value < low:
                 raise DomainError(f"{key} must be at least {low}")
-        return self.claims[name](**kwargs)
+        return ClaimResult(name, *self.claims[name](**kwargs))
 
 
 def _expand(x: PadicNumber, precision: int) -> PadicNumber:
     if x.exact is not None and x.abs_precision < precision:
         return x.at_precision(precision)
     return x
-
-
-def _congruent(x: PadicNumber, c: PadicNumber, k: int) -> bool:
-    """Whether x == c (mod p**k); raises when the digits cannot decide."""
-    d = x - c
-    if d.is_exact_zero:
-        return True
-    if d.unit != 0:
-        return d.valuation >= k
-    if d.abs_precision >= k:
-        return True
-    raise InsufficientPrecision(
-        f"congruence mod p^{k} needs more digits than are known")
 
 
 def _zero_derivative(p: int, precision: int, domain_tag: str) -> PadicFunction:
@@ -105,15 +92,14 @@ def _square_index(abs_precision: int) -> int:
     return math.isqrt(max(0, abs_precision - 1)) + 1
 
 
-def _probe_claim(claim: str, trace: WitnessTrace,
-                 row_ok: Callable[[TraceRow], bool],
-                 shown: Optional[dict] = None) -> ClaimResult:
+def _probe_claim(trace: WitnessTrace, row_ok: Callable[[TraceRow], bool],
+                 shown: Optional[dict] = None) -> tuple:
     """Passes when the trace has rows and each satisfies ``row_ok``.  The
     details are the step count, then ``shown`` (the verdict by default)."""
     passed = bool(trace.rows) and all(row_ok(r) for r in trace.rows)
     if shown is None:
         shown = {"verdict": trace.verdict.kind}
-    return ClaimResult(claim, passed, {"steps": len(trace.rows), **shown})
+    return passed, {"steps": len(trace.rows), **shown}
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +122,15 @@ def thm34i_fN(N: IndexSet, p: int,
         n = x.valuation
         if n < 1 or n not in N:
             return PadicNumber.zero(p, 2 * precision)
-        center = PadicNumber.from_rational(p ** n, 1, p, x.abs_precision)
-        if _congruent(x, center, 2 * n + 1):
-            return PadicNumber.from_rational(p ** (2 * n), 1, p, 2 * precision)
-        return PadicNumber.zero(p, 2 * precision)
+        # x = p**n u is on the ball iff u = 1 mod p**(n+1); k digits known
+        x = _expand(x, 2 * n + 1)
+        k = min(n + 1, x.abs_precision - n)
+        if x.unit % p ** k != 1:
+            return PadicNumber.zero(p, 2 * precision)
+        if k <= n:
+            # undecided: f is p**2n on the ball and 0 off it
+            return PadicNumber.bounded_zero(p, 2 * n)
+        return PadicNumber.from_rational(p ** (2 * n), 1, p, 2 * precision)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
@@ -155,19 +146,17 @@ def thm34i_fN(N: IndexSet, p: int,
             w = max(precision, 2 * n + 4)
             yield n, PadicNumber.from_rational(p ** n, 1, p, w)
 
-    def claim_strict_fail(limit: int = 40) -> ClaimResult:
+    def claim_strict_fail(limit: int = 40) -> tuple:
         trace = probe_strict(fn, pair_witness(limit), steps=limit)
         one = PadicNumber.one(p, precision)
-        return _probe_claim("strict-fail", trace,
-                            lambda r: r.quotient.agrees_with(one))
+        return _probe_claim(trace, lambda r: r.quotient.agrees_with(one))
 
-    def claim_derivative_at_zero(limit: int = 40) -> ClaimResult:
+    def claim_derivative_at_zero(limit: int = 40) -> tuple:
         trace = probe_derivative(fn, PadicNumber.zero(p, precision),
                                  seq_witness(limit), steps=limit)
         converges = trace.verdict.kind == "converges_to"
         return _probe_claim(
-            "derivative-at-zero", trace,
-            lambda r: converges and r.norm == Fraction(p) ** (-r.index))
+            trace, lambda r: converges and r.norm == Fraction(p) ** (-r.index))
 
     # the derivative is 0 at the origin too, via |f(x)/x| = p^-n -> 0
     return ZooEntry(thm34i_fN.__name__, p, fn,
@@ -274,7 +263,7 @@ def thm34ii_gN(N: IndexSet, p: int,
             z = PadicNumber.from_rational(p ** n + p ** n_plus, 1, p, w)
             yield n, (x, y, z)
 
-    def claim_contraction(pairs: int = 10_000, seed: int = 0) -> ClaimResult:
+    def claim_contraction(pairs: int = 10_000, seed: int = 0) -> tuple:
         # x and y are residues mod p**precision from Stream.below, the draws
         # that draw.zp makes points of, and g reads them through the
         # kernel its evaluate uses.  g of either is known mod
@@ -297,16 +286,15 @@ def thm34ii_gN(N: IndexSet, p: int,
             if worst is None or excess > worst:
                 worst = excess
             if excess > 0:
-                return ClaimResult("contraction", False, {
+                return False, {
                     "x": PadicNumber.from_unit(p, 0, x, precision).render(),
-                    "y": PadicNumber.from_unit(p, 0, y, precision).render()})
+                    "y": PadicNumber.from_unit(p, 0, y, precision).render()}
         ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
-        return ClaimResult("contraction", checked > 0,
-                           {"pairs": pairs, "worst_ratio": ratio})
+        return checked > 0, {"pairs": pairs, "worst_ratio": ratio}
 
-    def claim_order2_witness(limit: int = 40) -> ClaimResult:
+    def claim_order2_witness(limit: int = 40) -> tuple:
         trace = probe_strict(fn, triple_witness(limit), steps=limit)
-        return _probe_claim("order2-witness", trace, lambda r: r.norm == 1,
+        return _probe_claim(trace, lambda r: r.norm == 1,
                             {"norms": [str(r.norm) for r in trace.rows[:5]]})
 
     return ZooEntry(thm34ii_gN.__name__, p, fn,
@@ -386,7 +374,7 @@ def lip_fN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
 
-    def claim_n1_decay(n_limit: int = 10_000) -> ClaimResult:
+    def claim_n1_decay(n_limit: int = 10_000) -> tuple:
         # the products a / q are compared exactly, as integer
         # cross-products, with the bound p / log n at the float log n
         worst_a, worst_q, checked = 0, 1, 0
@@ -396,21 +384,21 @@ def lip_fN(N: IndexSet, p: int,
             checked += 1
             log_num, log_den = math.log(n).as_integer_ratio()
             if a * log_num > p * q * log_den:
-                return ClaimResult("n1-decay", False, {"n": n})
+                return False, {"n": n}
             if a * worst_q > worst_a * q:
                 worst_a, worst_q = a, q
-        return ClaimResult("n1-decay", checked > 0, {
-            "n_limit": n_limit, "max_product": worst_a / worst_q})
+        return checked > 0, {
+            "n_limit": n_limit, "max_product": worst_a / worst_q}
 
     def claim_lip2_unbounded(n_limit: int = 10_000,
-                             threshold: int = 100) -> ClaimResult:
+                             threshold: int = 100) -> tuple:
         # the running sup of the products first exceeds the threshold
         # where a single one does
         first_cross = next((n for n, (a, q) in _lip_products(N, p, n_limit, 2)
                             if a > threshold * q), None)
-        return ClaimResult("lip2-unbounded", first_cross is not None, {
+        return first_cross is not None, {
             "n_limit": n_limit, "threshold": threshold,
-            "first_crossing": first_cross})
+            "first_crossing": first_cross}
 
     return ZooEntry(lip_fN.__name__, p, fn,
                     _zero_derivative(p, precision, "Zp"), claims={
@@ -476,25 +464,23 @@ def thm16_fbeta(beta: PadicNumber, p: int,
     dfn = _shell_sum([(1, beta, beta - PadicNumber.one(p, precision))], p,
                      precision)
 
-    def claim_unbounded_derivative(limit: int = 20) -> ClaimResult:
+    def claim_unbounded_derivative(limit: int = 20) -> tuple:
         beta_norm = beta.abs_value()
         for n in range(1, limit + 1):
             x = PadicNumber.from_rational(1, p ** n, p, precision)
             want = beta_norm * Fraction(p) ** n
             got = dfn(x).abs_value()
             if got != want:
-                return ClaimResult("unbounded-derivative", False,
-                                   {"n": n, "got": str(got)})
-        return ClaimResult("unbounded-derivative", limit >= 1,
-                           {"limit": limit})
+                return False, {"n": n, "got": str(got)}
+        return limit >= 1, {"limit": limit}
 
-    def claim_zero_on_pzp(samples: int = 100, seed: int = 0) -> ClaimResult:
+    def claim_zero_on_pzp(samples: int = 100, seed: int = 0) -> tuple:
         draw = Stream(seed)
         for _ in range(samples):
             y = draw.zp(p, precision, min_valuation=1)
             if not fn(y).is_exact_zero:
-                return ClaimResult("zero-on-pzp", False, {"y": y.render()})
-        return ClaimResult("zero-on-pzp", samples >= 1, {"samples": samples})
+                return False, {"y": y.render()}
+        return samples >= 1, {"samples": samples}
 
     return ZooEntry(thm16_fbeta.__name__, p, fn, dfn, beta, claims={
         "unbounded-derivative": claim_unbounded_derivative,
@@ -641,15 +627,14 @@ def _shell_derivative(monomials, betas, p,
                   [a for e, _, a in terms if e == d]) for d in degrees}
     derivative = _shell_sum(terms, p, precision)
 
-    def claim_derivative_norm_growth(n_max: int = 20) -> ClaimResult:
+    def claim_derivative_norm_growth(n_max: int = 20) -> tuple:
         k1 = degrees[0]
         gammas, alphas = groups[k1]
         y1 = PadicNumber.zero(p, precision)
         if _sum_of_powers(gammas, alphas, y1, precision).is_zero_like:
             y1 = check_nonconstant_combination(gammas, alphas, 2, precision)
         if y1 is None:
-            return ClaimResult("derivative-norm-growth", False,
-                               {"reason": "no nonvanishing witness found"})
+            return False, {"reason": "no nonvanishing witness found"}
         c = _sum_of_powers(gammas, alphas, y1, precision).abs_value()
         # first n from which the leading group dominates every other group
         n0 = 1
@@ -665,12 +650,10 @@ def _shell_derivative(monomials, betas, p,
             want = Fraction(p) ** (n * k1) * c
             got = derivative(x).abs_value()
             if got != want:
-                return ClaimResult("derivative-norm-growth", False,
-                                   {"n": n, "got": str(got),
-                                    "want": str(want)})
-        return ClaimResult("derivative-norm-growth", n_max >= n0, {
+                return False, {"n": n, "got": str(got), "want": str(want)}
+        return n_max >= n0, {
             "n0": n0, "n_max": n_max, "leading_degree": k1,
-            "constant_norm": float(c), "witness": y1.render()})
+            "constant_norm": float(c), "witness": y1.render()}
 
     return derivative, {"derivative-norm-growth": claim_derivative_norm_growth}
 
@@ -722,14 +705,14 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         scale = PadicNumber.from_rational(p ** n, p ** (n * n), p, precision)
         return scale * beta * pow_one_plus(y, beta - one, precision)
 
-    def claim_values_on_centers(limit: int = 6) -> ClaimResult:
+    def claim_values_on_centers(limit: int = 6) -> tuple:
         for n in range(1, limit + 1):
             x = a + PadicNumber.from_int(p ** (n * n), p, precision + n * n)
             got = evaluate(x)
             want = PadicNumber.from_int(p ** n, p, precision)
             if not got.agrees_with(want):
-                return ClaimResult("center-values", False, {"n": n})
-        return ClaimResult("center-values", limit >= 1, {"limit": limit})
+                return False, {"n": n}
+        return limit >= 1, {"limit": limit}
 
     return ZooEntry(cor15_gbeta.__name__, p,
                     PadicFunction(evaluate, domain_tag="Qp"),
@@ -747,7 +730,7 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                                    cor15_gbeta(beta, a, p, precision)],
                                   [one, one], precision).function
 
-    def claim_quotient_growth(limit: int = 6) -> ClaimResult:
+    def claim_quotient_growth(limit: int = 6) -> tuple:
         fa = evaluate(a)
         for n in range(1, limit + 1):
             w = max(precision, n * n + n + 8)
@@ -755,11 +738,10 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
             q = (evaluate(x) - fa) / (x - a)
             want = Fraction(p) ** (n * n - n)
             if q.abs_value() != want:
-                return ClaimResult("quotient-growth", False,
-                                   {"n": n, "got": str(q.abs_value())})
-        return ClaimResult("quotient-growth", limit >= 1, {"limit": limit})
+                return False, {"n": n, "got": str(q.abs_value())}
+        return limit >= 1, {"limit": limit}
 
-    def claim_continuity_at_center(limit: int = 5) -> ClaimResult:
+    def claim_continuity_at_center(limit: int = 5) -> tuple:
         # |x - a| < p^{1-n^2} must force |F(x)| <= p^-n
         fa = evaluate(a)
         checked = 0
@@ -773,10 +755,8 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                 checked += 1
                 val = evaluate(x) - fa
                 if val.norm_upper() > Fraction(p) ** (-n):
-                    return ClaimResult("continuity-at-center", False,
-                                       {"n": n, "ball_n": ball_n})
-        return ClaimResult("continuity-at-center", checked > 0,
-                           {"limit": limit})
+                    return False, {"n": n, "ball_n": ball_n}
+        return checked > 0, {"limit": limit}
 
     return ZooEntry(cor15_Fbeta.__name__, p, evaluate, claims={
                         "quotient-growth": claim_quotient_growth,
@@ -811,7 +791,7 @@ def prop26_fN(N: Optional[IndexSet], p: int,
         return PadicNumber.zero(p, precision)
 
     def claim_ratio_growth(limit: int = 10,
-                           alphas: Sequence[int] = (1, 2)) -> ClaimResult:
+                           alphas: Sequence[int] = (1, 2)) -> tuple:
         checked = 0
         for n in _upto(N.members(1) if N is not None else count(1), limit):
             x = PadicNumber.from_int(p ** (n * n), p,
@@ -820,13 +800,11 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             for alpha in alphas:
                 want = Fraction(p) ** ((-1 + alpha * n) * n)
                 if fx / x.abs_value() ** alpha != want:
-                    return ClaimResult("ratio-growth", False,
-                                       {"n": n, "alpha": alpha})
+                    return False, {"n": n, "alpha": alpha}
             checked += 1
-        return ClaimResult("ratio-growth", bool(checked),
-                           {"points": checked, "limit": limit})
+        return bool(checked), {"points": checked, "limit": limit}
 
-    def claim_derivative_zero(samples: int = 1000, seed: int = 0) -> ClaimResult:
+    def claim_derivative_zero(samples: int = 1000, seed: int = 0) -> tuple:
         draw = Stream(seed)
         for _ in range(samples):
             x = draw.nonzero(p, precision)
@@ -835,10 +813,8 @@ def prop26_fN(N: Optional[IndexSet], p: int,
                 precision)
             q = (evaluate(x + h) - evaluate(x)) / h
             if not q.is_zero_like:
-                return ClaimResult("derivative-zero", False,
-                                   {"x": x.render()})
-        return ClaimResult("derivative-zero", samples >= 1,
-                           {"samples": samples})
+                return False, {"x": x.render()}
+        return samples >= 1, {"samples": samples}
 
     return ZooEntry(prop26_fN.__name__, p,
                     PadicFunction(evaluate, domain_tag="Qp"),
@@ -901,7 +877,7 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             yield n, (x, xbar)
 
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
-                                 seed: int = 0) -> ClaimResult:
+                                 seed: int = 0) -> tuple:
         # the offsets y - x are drawn below p**(2 m_max + 2)
         if 2 * m_max + 2 > precision:
             raise InsufficientPrecision(
@@ -930,13 +906,12 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             x = below(top)
             y = (x + below(top // step) * step) % top
             if (f(x) - f(y)) % step:
-                return ClaimResult("continuity-modulus", False, {
+                return False, {
                     "m": m,
-                    "x": PadicNumber.from_unit(p, 0, x, precision).render()})
-        return ClaimResult("continuity-modulus", pairs > 0,
-                           {"pairs": pairs, "m_max": m_max})
+                    "x": PadicNumber.from_unit(p, 0, x, precision).render()}
+        return pairs > 0, {"pairs": pairs, "m_max": m_max}
 
-    def claim_deviation(steps: int = 10, seed: int = 0) -> ClaimResult:
+    def claim_deviation(steps: int = 10, seed: int = 0) -> tuple:
         # the first step needs 13 digits, and the point has 2*(precision//2)
         if precision < 14:
             raise InsufficientPrecision("deviation needs 14 digits")
@@ -947,9 +922,9 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             q = (evaluate(a) - evaluate(b)) / (a - b)
             dev = (q - one).norm_upper()
             if (q - one).is_bounded_zero or dev < Fraction(p) ** -2:
-                return ClaimResult("deviation", False, {"n": n})
+                return False, {"n": n}
             count += 1
-        return ClaimResult("deviation", count > 0, {"steps": count})
+        return count > 0, {"steps": count}
 
     return ZooEntry(thm2_f.__name__, p,
                     PadicFunction(evaluate, domain_tag="Zp"), claims={
@@ -979,6 +954,9 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
         n = x.valuation
         if n < 1 or x.digit(n) != 1 or (N is not None and n not in N):
             return PadicNumber.zero(p, precision)
+        if x.abs_precision < n + 3:
+            # x' below lacks its first digit pair; f(x') lies in Z_p
+            return PadicNumber.bounded_zero(p, n)
         shift = PadicNumber.from_int(p ** n, p, x.abs_precision)
         xprime = (x - shift) / PadicNumber.from_int(p ** (n + 1), p,
                                                     x.abs_precision + n + 1)
@@ -992,11 +970,10 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
             # p^n (1 + p + p^2 + ...) = p^n / (1 - p)
             yield n, PadicNumber.from_rational(p ** n, 1 - p, p, w)
 
-    def claim_not_differentiable_at_zero(limit: int = 40) -> ClaimResult:
+    def claim_not_differentiable_at_zero(limit: int = 40) -> tuple:
         zero = PadicNumber.zero(p, precision)
         trace = probe_derivative(fn, zero, zero_witness(limit), steps=limit)
-        return _probe_claim("quotient-norm-one", trace,
-                            lambda r: r.norm == 1)
+        return _probe_claim(trace, lambda r: r.norm == 1)
 
     return ZooEntry(thm2_g.__name__, p, fn, claims={
         "quotient-norm-one": claim_not_differentiable_at_zero})

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from padiczoo.cli import main
 from padiczoo.core import DEFAULT_PRECISION, DomainError, PadicNumber
 from padiczoo.haar import Stream
-from padiczoo.vanderput import _ilog, schedule_exponent
+from padiczoo.vanderput import schedule_exponent
 
 
 @pytest.fixture
@@ -44,16 +45,39 @@ def reference_lip_rows(N, p: int, n_limit: int):
 
 # --- van der Put references ------------------------------------------------
 
+def ilog(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1: a floating-point estimate, corrected with
+    exact integer comparisons."""
+    s = int(math.log(n, p))
+    power = p ** s
+    while s > 0 and power > n:
+        s, power = s - 1, power // p
+    while power * p <= n:
+        s, power = s + 1, power * p
+    return s
+
+
+def power_str(p: int, norm: Fraction) -> str:
+    """Render an exact power of p (or 0) as e.g. "2^-5"."""
+    if norm == 0:
+        return "0"
+    if norm >= 1:
+        k = ilog(norm.numerator, p)
+    else:
+        k = -ilog(norm.denominator, p)
+    return f"{p}^{k}"
+
+
 def ball_exponent(n: int, p: int) -> int:
     """|x - n|_p < 1/n is decided as |x - n|_p <= p**-ball_exponent(n, p)."""
-    return _ilog(n, p) + 1
+    return ilog(n, p) + 1
 
 
 def drop_leading_digit(n: int, p: int) -> int:
     """n with its most significant base-p digit removed (n >= 1)."""
     if n < 1:
         raise DomainError("defined for n >= 1 only")
-    return n % p ** _ilog(n, p)
+    return n % p ** ilog(n, p)
 
 
 def decompose(f, p: int, precision: int = DEFAULT_PRECISION):

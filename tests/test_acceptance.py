@@ -233,7 +233,8 @@ def test_criterion_09_haar_mc():
         if not all(r.within(3.0) for r in series):
             ok = False
         rerun = estimate_E_prefix_series(p, 10, 100_000, seed=42)
-        if [r.to_json() for r in series] != [r.to_json() for r in rerun]:
+        if [r.to_json_dict() for r in series] \
+                != [r.to_json_dict() for r in rerun]:
             ok = False
     elapsed = time.monotonic() - t0
     _report(9, "Haar MC within 3 sigma, bit-identical reruns",

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_lip_rows
+from conftest import power_str, reference_lip_rows
 from padiczoo.cli import main
 from padiczoo.families import IndexSet
-from padiczoo.vanderput import power_str
 from padiczoo.zoo import ENTRY_NAMES, build_entry
 
 
@@ -170,6 +169,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["schema"] == 1 and doc["value"].startswith("1 1")
+
+
+def test_out_file_in_missing_directory_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is kept for a failed claim
+    target = tmp_path / "missing" / "o.txt"
+    code, out, err = run(capsys, "--prime", "5", "--out", str(target),
+                         "list")
+    assert code == 2 and out == "" and not target.parent.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_haar_large_prime_strict_json(capsys):

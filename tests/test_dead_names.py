@@ -5,8 +5,8 @@ from pathlib import Path
 
 import padiczoo
 
-# read only from outside the package: bench/tracing.py wraps it by name
-ALLOWED = {"power_str"}
+# names read only from outside the package
+ALLOWED: set[str] = set()
 
 
 def _reads(tree: ast.AST) -> set[str]:

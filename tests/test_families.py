@@ -1,4 +1,4 @@
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -50,6 +50,29 @@ def test_enumerator_validation():
         CellEnumerator([IndexSet(2, 0, 0), IndexSet(3, 0, 0)], [1, 0])
     with pytest.raises(DomainError):
         CellEnumerator(fam, [1, 2])
+
+
+def test_repeated_member_is_refused():
+    # the cell of a set and its own complement is empty: enumerating it
+    # would scan forever
+    for sig in product((0, 1), repeat=2):
+        with pytest.raises(DomainError):
+            cell([IndexSet(3, 0), IndexSet(3, 0)], sig)
+
+
+@pytest.mark.parametrize("ground", ["N0", "N"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_cell_starts_within_one_period(k, ground):
+    # each cell of distinct members is a union of residue classes mod 2**k
+    fam = generate_family(k, ground)
+    low = fam[0].ground_min
+    for size in range(1, k + 1):
+        for sets in combinations(fam, size):
+            for sig in product((0, 1), repeat=size):
+                c = cell(sets, sig)
+                first = next(iter(c))
+                assert low <= first < low + 2 ** k, (sets, sig)
+                assert c.next_after(first - 1) == first
 
 
 def test_family_size_limits():

@@ -6,9 +6,8 @@ import pytest
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
 from padiczoo.quotients import PadicFunction
-from padiczoo.vanderput import criterion_products, power_str, \
-    schedule_exponent
-from conftest import ball_exponent, decompose, drop_leading_digit
+from padiczoo.vanderput import criterion_products, schedule_exponent
+from conftest import ball_exponent, decompose, drop_leading_digit, power_str
 
 
 def basis_eval(n: int, x: PadicNumber) -> int:

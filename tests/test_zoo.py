@@ -113,6 +113,23 @@ def test_thm34i_values():
     assert f(PadicNumber.bounded_zero(p, 10)).is_bounded_zero
 
 
+def test_thm34i_reads_the_ball_from_the_known_digits():
+    # x = p**n u is on the ball iff u = 1 mod p**(n+1); with fewer digits
+    # of u known, f is p**2n or 0 and known mod p**2n, unless a known
+    # digit already leaves the ball
+    p = 5
+    f = build_entry("thm34i", p).function
+    assert f(PadicNumber.bounded_zero(p, 1)).render() == "0 (mod 5^2)"
+    for unit, digits, want in ((1, 1, "0 (mod 5^2)"), (1, 2, "1 * 5^2"),
+                               (1 + 2 * p, 2, "0"), (2, 1, "0"),
+                               (1 + p ** 2, 3, "1 * 5^2")):
+        y = f(PadicNumber.from_unit(p, 1, unit, 1 + digits))
+        assert y.render().startswith(want), (unit, digits, y.render())
+    # an exact point decides with all its digits
+    assert f(PadicNumber.from_rational(p, 1 - p ** 2, p, 2)).render() \
+        .startswith("1 * 5^2")
+
+
 def test_thm34i_claims():
     e = build_entry("thm34i", 5)
     assert e.run_claim("strict-fail", limit=24).passed
@@ -489,6 +506,52 @@ def test_cor15_zero_off_branch():
         == Fraction(1, p ** 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cor15_g_derivative_at_the_pinch_and_off_the_branches(p):
+    for a in (PadicNumber.zero(p), PadicNumber.from_rational(1, 1 + p, p)):
+        dg = cor15_gbeta(PadicNumber.from_int(1 + p, p), a, p).derivative
+        with pytest.raises(DomainError):
+            dg(a)
+        # a point known only to lie within p**-5 of a may be on branch 2
+        with pytest.raises(InsufficientPrecision):
+            dg(a + PadicNumber.bounded_zero(p, 5))
+        # valuations -1, 0, 2 and 3 are no positive squares; on the sphere
+        # of 4 = 2**2 the branch needs leading digit 1, which p = 2 has
+        off = [PadicNumber.from_rational(1, p, p)] + [
+            PadicNumber.from_int(d, p) for d in (1, p ** 2, p ** 3 + p ** 5)]
+        if p > 2:
+            off.append(PadicNumber.from_int((p - 1) * p ** 4 + p ** 6, p))
+        for d in off:
+            assert dg(a + d).is_exact_zero, d.render()
+
+
+@pytest.mark.parametrize("beta", [None, (1, 7)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cor15_g_difference_quotients_tend_to_the_derivative(p, beta):
+    # on branch n, g(a + p**(n^2) t) = p**n t**beta with t in 1 + pZ_p, so
+    # (g(x + h) - g(x)) / h - g'(x) has norm at most p**(n^2 - n) |h|
+    # p**(n^2) for every step h = p**(n^2 + k), k >= 1, that stays on it
+    precision = 80
+    b = None if beta is None else PadicNumber.from_rational(*beta, p,
+                                                            precision)
+    e = build_entry("cor15_g", p, precision, beta=b)
+    draw = Stream(p)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            y = draw.zp(p, precision, min_valuation=1)
+            x = PadicNumber.from_int(p ** (n * n), p, precision) \
+                * (PadicNumber.one(p, precision) + y)
+            fx, dfx = e.function(x), e.derivative(x)
+            gaps = []
+            for k in range(1, 7):
+                h = PadicNumber.from_int(p ** (n * n + k), p, precision)
+                gap = (e.function(x + h) - fx) / h - dfx
+                assert gap.norm_upper() <= Fraction(p) ** (n * n - n - k), \
+                    (n, k, x.render())
+                gaps.append(gap.norm_upper())
+            assert gaps[-1] < gaps[0], (n, x.render())
+
+
 # --- sphere step functions ---------------------------------------------------
 
 def test_prop26_values():
@@ -509,6 +572,24 @@ def test_prop26_claims():
         e = build_entry(name, 3)
         assert e.run_claim("ratio-growth", limit=8).passed
         assert e.run_claim("derivative-zero", samples=150).passed
+
+
+@pytest.mark.parametrize("name", ["prop26", "prop26_g"])
+def test_prop26_derivative_off_zero(name):
+    # locally constant off 0: the derivative and the difference quotients
+    # on the sphere of x are 0, on a branch sphere and off one
+    p = 3
+    e = build_entry(name, p)
+    points = [PadicNumber.from_rational(1, p, p)] + [
+        PadicNumber.from_int(x, p) for x in (p ** 4, 2 * p ** 4 + p ** 7,
+                                             p ** 3, 1, 7)]
+    for x in points:
+        assert e.derivative(x).is_exact_zero
+        v = abs(x.valuation)
+        h = PadicNumber.from_int(p ** (v * v + v + 2), p)
+        assert ((e.function(x + h) - e.function(x)) / h).is_zero_like
+    with pytest.raises(DomainError):
+        e.derivative(PadicNumber.bounded_zero(p, 9))
 
 
 def test_prop26_respects_index_set():
@@ -571,6 +652,12 @@ def test_thm2_g_values_and_claim():
     x = PadicNumber.from_int(p ** 2 + p ** 3, p, 48)
     assert g(x).agrees_with(PadicNumber.from_int(p ** 2, p))
     assert e.run_claim("quotient-norm-one", limit=24).passed
+    # x = p^2 mod p^3 or p^4 is on ball n = 2, but x' lacks its first
+    # digit pair: g is known mod p^2 only
+    for k in (3, 4):
+        y = g(PadicNumber.from_unit(p, 2, 1, k))
+        assert y.is_bounded_zero and y.abs_precision == 2
+    assert g(PadicNumber.from_unit(p, 2, 1, 5)).is_exact_zero
 
 
 def test_thm2_fN_restricts():
@@ -1091,13 +1178,83 @@ def test_refinement_agrees_or_refuses(name, p, data):
     if DomainError in (low, high):
         assert low == high == DomainError
         return
-    # every digit both results give, also digits an exact-tagged result
-    # re-expands beyond its window, must be the same digit
-    a, b = PadicNumber(p, *low), PadicNumber(p, *high)
+    _assert_same_digits(PadicNumber(p, *low), PadicNumber(p, *high),
+                        x.render())
+
+
+def _assert_same_digits(a: PadicNumber, b: PadicNumber, context) -> None:
+    """Every digit both values give, also digits an exact-tagged value
+    re-expands beyond its window, is the same digit."""
     lo = min([y.valuation for y in (a, b) if not y.is_zero_like] + [0])
     for i in range(lo, max(a.abs_precision, b.abs_precision)):
         try:
             da, db = a.digit(i), b.digit(i)
         except InsufficientPrecision:
             return
-        assert da == db, (i, x.render(), a.render(), b.render())
+        assert da == db, (i, context, a.render(), b.render())
+
+
+@functools.lru_cache(maxsize=None)
+def _registered(name: str, p: int) -> ZooEntry:
+    return build_entry(name, p)
+
+
+def _unit(draw, p: int, digits: int) -> int:
+    """A p-adic unit below p**digits."""
+    return draw(st.integers(1, p - 1)) + p * draw(
+        st.integers(0, p ** (digits - 1) - 1))
+
+
+@st.composite
+def _refined_pairs(draw, p: int):
+    """(x, x') with x' a refinement of x: a truncated point and more of its
+    digits, a bounded zero and any point it may stand for, or a truncated
+    exact rational and the rational itself."""
+    kind = draw(st.sampled_from(["digits", "bounded zero", "exact"]))
+    more = draw(st.integers(1, 30))
+    if kind == "bounded zero":
+        k = draw(st.integers(-2, 8))
+        w = draw(st.integers(k, k + more))
+        unit = draw(st.integers(0, p ** (k + more - w + 1) - 1))
+        return (PadicNumber.bounded_zero(p, k),
+                PadicNumber.from_unit(p, w, unit, k + more + 1))
+    v, n = draw(st.integers(-2, 6)), draw(st.integers(1, 30))
+    if kind == "exact":
+        num, den = _unit(draw, p, 12), _unit(draw, p, 8)
+        num, den = (num * p ** v, den) if v >= 0 else (num, den * p ** -v)
+        x = PadicNumber.from_rational(num, den, p, v + n)
+        return x.truncated(v + n), x
+    unit = _unit(draw, p, n) + p ** n * draw(st.integers(0, p ** more - 1))
+    return (PadicNumber.from_unit(p, v, unit, v + n),
+            PadicNumber.from_unit(p, v, unit, v + n + more))
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_input_refinement_agrees_or_refuses(p, data):
+    # f(x) and f(x') for a refinement x' of x agree on every digit both
+    # give, or f(x) is refused for precision, or both lie off the domain;
+    # over every entry and over two-entry polynomials of degree <= 2
+    f = _registered(data.draw(st.sampled_from(ENTRY_NAMES)), p)
+    if data.draw(st.booleans(), label="polynomial"):
+        g = _registered(data.draw(st.sampled_from(ENTRY_NAMES)), p)
+        exps = data.draw(st.sets(st.sampled_from(
+            [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), min_size=1,
+            max_size=3), label="monomials")
+        try:
+            f = poly_combine([f, g], [
+                Monomial(PadicNumber.from_int(_unit(data.draw, p, 3), p), e)
+                for e in sorted(exps)])
+        except DomainError:
+            return  # equal aggregate shell exponents
+    x, refined = data.draw(_refined_pairs(p))
+    coarse, fine = _outcome(f.function, x), _outcome(f.function, refined)
+    if coarse is InsufficientPrecision:
+        return
+    if DomainError in (coarse, fine):
+        assert coarse == fine == DomainError, (x.render(), refined.render())
+        return
+    assert fine is not InsufficientPrecision, (x.render(), refined.render())
+    _assert_same_digits(PadicNumber(p, *coarse), PadicNumber(p, *fine),
+                        (x.render(), refined.render()))
