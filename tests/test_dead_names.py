@@ -5,9 +5,6 @@ from pathlib import Path
 
 import padiczoo
 
-# names read only from outside the package
-ALLOWED: set[str] = set()
-
 
 def _reads(tree: ast.AST) -> set[str]:
     """The names a tree reads: loaded names, attributes and imports."""
@@ -32,7 +29,7 @@ def dead_names(src: Path) -> list[str]:
     for module, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if node.name in padiczoo.__all__ or node.name in ALLOWED:
+        if node.name in padiczoo.__all__:
             continue
         if not any(node.name in reads for _, other, reads in statements
                    if other is not node):
