@@ -138,7 +138,7 @@ def cmd_table(args, config: RunConfig) -> int:
         raise DomainError("criterion tables are provided for lip_fN")
     p = config.prime
     alpha = args.alpha
-    N = IndexSet(args.set[0], args.set[1], 0)
+    N = IndexSet(*args.set)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",

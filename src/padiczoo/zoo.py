@@ -141,11 +141,6 @@ def thm34i_fN(N: IndexSet, p: int,
             y = PadicNumber.from_rational(p ** n - p ** (2 * n), 1, p, w)
             yield n, (x, y)
 
-    def seq_witness(limit: int) -> Iterator:
-        for n in _upto(N.members(), limit):
-            w = max(precision, 2 * n + 4)
-            yield n, PadicNumber.from_rational(p ** n, 1, p, w)
-
     def claim_strict_fail(limit: int = 40) -> tuple:
         trace = probe_strict(fn, pair_witness(limit), steps=limit)
         one = PadicNumber.one(p, precision)
@@ -153,7 +148,8 @@ def thm34i_fN(N: IndexSet, p: int,
 
     def claim_derivative_at_zero(limit: int = 40) -> tuple:
         trace = probe_derivative(fn, PadicNumber.zero(p, precision),
-                                 seq_witness(limit), steps=limit)
+                                 ((n, x) for n, (x, _) in pair_witness(limit)),
+                                 steps=limit)
         converges = trace.verdict.kind == "converges_to"
         return _probe_claim(
             trace, lambda r: converges and r.norm == Fraction(p) ** (-r.index))
@@ -578,7 +574,8 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
     p = entries[0].prime
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        vals = [e.function(x) for e in entries]
+        vals = [e.function(x) if any(m.exponents[i] for m in monomials)
+                else None for i, e in enumerate(entries)]
         total = PadicNumber.zero(p, precision)
         for m in monomials:
             # an exact-1 coefficient is no factor: its product would cut
@@ -999,21 +996,21 @@ def linear_combination(entries: Sequence[ZooEntry],
 # registry
 
 # Each registered entry by name, built from the prime, the precision, the
-# index sets N (from 1) and N0 (from 0), and the exponent beta.
+# index set N and the exponent beta.
 _REGISTRY = {
-    "thm34i": lambda p, n, N, N0, beta: thm34i_fN(N, p, n),
-    "thm34ii": lambda p, n, N, N0, beta: thm34ii_gN(N0, p, n),
-    "lip_fN": lambda p, n, N, N0, beta: lip_fN(N0, p, n),
-    "thm16": lambda p, n, N, N0, beta: thm16_fbeta(beta, p, n),
-    "cor15": lambda p, n, N, N0, beta: cor15_Fbeta(
+    "thm34i": lambda p, n, N, beta: thm34i_fN(N, p, n),
+    "thm34ii": lambda p, n, N, beta: thm34ii_gN(N, p, n),
+    "lip_fN": lambda p, n, N, beta: lip_fN(N, p, n),
+    "thm16": lambda p, n, N, beta: thm16_fbeta(beta, p, n),
+    "cor15": lambda p, n, N, beta: cor15_Fbeta(
         beta, PadicNumber.zero(p, n), p, n),
-    "cor15_g": lambda p, n, N, N0, beta: cor15_gbeta(
+    "cor15_g": lambda p, n, N, beta: cor15_gbeta(
         beta, PadicNumber.zero(p, n), p, n),
-    "prop26": lambda p, n, N, N0, beta: prop26_fN(N, p, n),
-    "prop26_g": lambda p, n, N, N0, beta: prop26_fN(None, p, n),
-    "thm2_f": lambda p, n, N, N0, beta: thm2_f(p, n),
-    "thm2_g": lambda p, n, N, N0, beta: thm2_g(p, n),
-    "thm2_fN": lambda p, n, N, N0, beta: thm2_g(p, n, N=N),
+    "prop26": lambda p, n, N, beta: prop26_fN(N, p, n),
+    "prop26_g": lambda p, n, N, beta: prop26_fN(None, p, n),
+    "thm2_f": lambda p, n, N, beta: thm2_f(p, n),
+    "thm2_g": lambda p, n, N, beta: thm2_g(p, n),
+    "thm2_fN": lambda p, n, N, beta: thm2_g(p, n, N=N),
 }
 
 ENTRY_NAMES = tuple(_REGISTRY)
@@ -1023,10 +1020,9 @@ def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
                 family_size: int = 3, member_bit: int = 0,
                 beta: Optional[PadicNumber] = None) -> ZooEntry:
     """Build a registered entry with canonical parameters."""
-    N = IndexSet(family_size, member_bit, 1)
-    N0 = IndexSet(family_size, member_bit, 0)
+    N = IndexSet(family_size, member_bit)
     if beta is None:
         beta = PadicNumber.from_int(1 + p, p, precision)
     if name not in _REGISTRY:
         raise DomainError(f"unknown entry {name!r}; have {sorted(_REGISTRY)}")
-    return replace(_REGISTRY[name](p, precision, N, N0, beta), name=name)
+    return replace(_REGISTRY[name](p, precision, N, beta), name=name)

@@ -58,7 +58,7 @@ def test_criterion_01_ultrametric_fuzz():
 def test_criterion_02_ball_step_probes():
     p, k = 5, 3
     rng = Stream(2)
-    sets = [IndexSet(k, i, 1) for i in range(k)]
+    sets = [IndexSet(k, i) for i in range(k)]
     entries = [thm34i_fN(N, p) for N in sets]
     witness_cell = CellEnumerator(sets, [1, 0, 0])
     indices = list(takewhile(lambda n: n <= 40, witness_cell))
@@ -93,7 +93,7 @@ def test_criterion_02_ball_step_probes():
 def test_criterion_03_digit_spreading():
     p, k = 5, 3
     rng = Stream(3)
-    sets = [IndexSet(k, i, 0) for i in range(k)]
+    sets = [IndexSet(k, i) for i in range(k)]
     entries = [thm34ii_gN(N, p, 32) for N in sets]
     betas = [PadicNumber.from_int((1 + rng.below(p ** 4 - 1)) * p + 1, p)
              for _ in range(k)]
@@ -115,7 +115,7 @@ def test_criterion_03_digit_spreading():
         for n in witness_cell:
             if n > 40:
                 return
-            n_plus = witness_cell.next_after(n)
+            n_plus = next(witness_cell.members(n + 1))
             w = max(64, 2 * n_plus + 4)
             yield n, (PadicNumber.from_int(p ** n, p, w),
                       PadicNumber.zero(p, w),

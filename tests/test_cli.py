@@ -98,7 +98,7 @@ def reference_table(p: int, alpha: int, family: tuple[int, int],
                     n_max: int) -> str:
     """``table lip_fN`` computed in Fraction arithmetic on the closed-form
     rows, as the CLI computed it before its integer kernel."""
-    N = IndexSet(family[0], family[1], 0)
+    N = IndexSet(family[0], family[1])
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a reader."""
+"""Every module-level function and class of the package, and every method
+and property, has a reader."""
 
 import ast
 from pathlib import Path
@@ -19,9 +20,15 @@ def _reads(tree: ast.AST) -> set[str]:
     return names
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def dead_names(src: Path) -> list[str]:
     """``module:name`` for each module-level def or class under ``src``
-    that no other statement of the package reads and ``__all__`` omits."""
+    that no other statement of the package reads and ``__all__`` omits, and
+    ``module:Class.name`` for each non-dunder def in a class body that no
+    other statement of the package reads."""
     statements = [(path.stem, node, _reads(node))
                   for path in sorted(src.glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
@@ -29,11 +36,20 @@ def dead_names(src: Path) -> list[str]:
     for module, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if node.name in padiczoo.__all__:
-            continue
-        if not any(node.name in reads for _, other, reads in statements
-                   if other is not node):
+        others = [reads for _, other, reads in statements if other is not node]
+        if node.name not in padiczoo.__all__ \
+                and not any(node.name in reads for reads in others):
             dead.append(f"{module}:{node.name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) \
+                    or _is_dunder(method.name):
+                continue
+            siblings = [_reads(other) for other in node.body
+                        if other is not method]
+            if not any(method.name in reads for reads in others + siblings):
+                dead.append(f"{module}:{node.name}.{method.name}")
     return dead
 
 

@@ -26,20 +26,44 @@ def test_cells_nonempty_k10():
     assert len(seen) == 2 ** 10
 
 
-def test_ground_n_excludes_zero():
-    s = IndexSet(1, 0, ground_min=1)
-    assert 0 not in s
-    fam = generate_family(3, ground="N")
-    c = cell(fam, [0, 0, 0])
-    assert next(iter(c)) == 8  # 0 is excluded by the ground set
+def test_zero_and_negatives_lie_in_no_set():
+    for k in range(1, 7):
+        for s in generate_family(k):
+            assert not any(m in s for m in range(-2 ** k, 1))
+    # the complement of every set holds 0: the all-zero cell starts there
+    c = cell(generate_family(3), [0, 0, 0])
+    assert next(iter(c)) == 0
+    assert list(islice(c, 3)) == [0, 8, 16]
 
 
-def test_members_and_next_after():
-    s = IndexSet(3, 1, 0)
+def test_members_from_start():
+    s = IndexSet(3, 1)
     assert list(islice(s.members(), 4)) == [2, 3, 6, 7]
     c = CellEnumerator([s], [1])
-    assert c.next_after(3) == 6
-    assert c.next_after(7) == 10
+    assert next(c.members(4)) == 6
+    assert next(c.members(8)) == 10
+    assert list(islice(c.members(-5), 2)) == [2, 3]
+
+
+def _reference_in(m, s):
+    """Membership by the bit of m mod 2**k, as the family was first written."""
+    return m >= 0 and (m % 2 ** s.family_size) >> s.member_bit & 1 == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_membership_agrees_with_the_reference_rule(k):
+    fam = generate_family(k)
+    span = range(-2 ** k, 4 * 2 ** k)
+    for s in fam:
+        assert [m in s for m in span] == [_reference_in(m, s) for m in span]
+    for size in range(1, k + 1):
+        for sets in combinations(fam, size):
+            for sig in product((0, 1), repeat=size):
+                c = cell(sets, sig)
+                assert [m in c for m in span] == [
+                    m >= 0 and all(_reference_in(m, s) == bool(b)
+                                   for s, b in zip(sets, sig))
+                    for m in span], (sets, sig)
 
 
 def test_enumerator_validation():
@@ -47,7 +71,7 @@ def test_enumerator_validation():
     with pytest.raises(DomainError):
         CellEnumerator(fam, [1])  # wrong signature length
     with pytest.raises(DomainError):
-        CellEnumerator([IndexSet(2, 0, 0), IndexSet(3, 0, 0)], [1, 0])
+        CellEnumerator([IndexSet(2, 0), IndexSet(3, 0)], [1, 0])
     with pytest.raises(DomainError):
         CellEnumerator(fam, [1, 2])
 
@@ -60,19 +84,17 @@ def test_repeated_member_is_refused():
             cell([IndexSet(3, 0), IndexSet(3, 0)], sig)
 
 
-@pytest.mark.parametrize("ground", ["N0", "N"])
 @pytest.mark.parametrize("k", range(1, 7))
-def test_every_cell_starts_within_one_period(k, ground):
+def test_every_cell_starts_within_one_period(k):
     # each cell of distinct members is a union of residue classes mod 2**k
-    fam = generate_family(k, ground)
-    low = fam[0].ground_min
+    fam = generate_family(k)
     for size in range(1, k + 1):
         for sets in combinations(fam, size):
             for sig in product((0, 1), repeat=size):
                 c = cell(sets, sig)
                 first = next(iter(c))
-                assert low <= first < low + 2 ** k, (sets, sig)
-                assert c.next_after(first - 1) == first
+                assert 0 <= first < 2 ** k, (sets, sig)
+                assert next(c.members(first)) == first
 
 
 def test_family_size_limits():
