@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
@@ -31,69 +30,51 @@ EXIT_PRECISION = 3
 HAAR_CLAIMS = ("Y0", "E-prefix", "slln")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int
-    precision: int
-    seed: int
-    fmt: str = "text"
-    out: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise DomainError(f"{self.prime!r} is not a prime number")
-        if self.precision < 8:
-            raise DomainError("precision must be at least 8 digits")
-
-    def echo(self) -> dict:
-        return {"prime": self.prime, "precision": self.precision,
-                "seed": self.seed}
-
-
-def _emit_json(config: RunConfig, **fields) -> None:
+def _emit_json(args, **fields) -> None:
     """The one JSON report envelope: schema, the run settings, then fields."""
-    _emit(config, json.dumps({"schema": 1, **config.echo(), **fields},
-                             indent=2))
+    _emit(args, json.dumps({"schema": 1, "prime": args.prime,
+                            "precision": args.precision, "seed": args.seed,
+                            **fields}, indent=2))
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
 
-def _entry_from_args(args, config: RunConfig):
+def _entry_from_args(args):
     beta = None
     if args.beta is not None:
-        beta = parse_padic(args.beta, config.prime, config.precision)
-    return build_entry(args.entry, config.prime, config.precision,
+        beta = parse_padic(args.beta, args.prime, args.precision)
+    return build_entry(args.entry, args.prime, args.precision,
                        family_size=args.set[0], member_bit=args.set[1],
                        beta=beta)
 
 
-def cmd_eval(args, config: RunConfig) -> int:
-    entry = _entry_from_args(args, config)
-    x = parse_padic(args.x, config.prime, config.precision)
+def cmd_eval(args) -> int:
+    entry = _entry_from_args(args)
+    x = parse_padic(args.x, args.prime, args.precision)
     value = entry.function(x)
-    if config.fmt == "json":
-        _emit_json(config, entry=entry.name, x=x.render(),
+    if args.fmt == "json":
+        _emit_json(args, entry=entry.name, x=x.render(),
                    value=value.render())
     else:
-        _emit(config, value.render())
+        _emit(args, value.render())
     return EXIT_PASS
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.entry == "haar":
-        return _verify_haar(args, config)
-    entry = _entry_from_args(args, config)
+        return _verify_haar(args)
+    entry = _entry_from_args(args)
     kwargs = {}
     claim = entry.claims.get(args.claim)
     params = inspect.signature(claim).parameters if claim is not None else {}
     if "seed" in params:
-        kwargs["seed"] = config.seed
+        kwargs["seed"] = args.seed
     if args.limit is not None and claim is not None:
         key = next((k for k in ("limit", "n_limit") if k in params), None)
         if key is None:
@@ -103,12 +84,12 @@ def cmd_verify(args, config: RunConfig) -> int:
             raise DomainError("--limit must be nonnegative")
         kwargs[key] = args.limit
     result = entry.run_claim(args.claim, **kwargs)
-    _emit_json(config, entry=entry.name, **result.to_json_dict())
+    _emit_json(args, entry=entry.name, **result.to_json_dict())
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
-def _verify_haar(args, config: RunConfig) -> int:
-    p, seed, n = config.prime, config.seed, args.samples
+def _verify_haar(args) -> int:
+    p, seed, n = args.prime, args.seed, args.samples
     if args.claim == "Y0":
         reports = [estimate_Y0(p, n, seed)]
     elif args.claim == "E-prefix":
@@ -119,7 +100,7 @@ def _verify_haar(args, config: RunConfig) -> int:
         raise DomainError(
             f"unknown haar claim {args.claim!r}; have {HAAR_CLAIMS}")
     passed = all(r.within(3.0) for r in reports)
-    _emit_json(config, entry="haar", claim=args.claim, passed=passed,
+    _emit_json(args, entry="haar", claim=args.claim, passed=passed,
                reports=[r.to_json_dict() for r in reports])
     return EXIT_PASS if passed else EXIT_FAIL
 
@@ -133,10 +114,10 @@ def _decimal(a: int, q: int) -> float:
         return math.inf
 
 
-def cmd_table(args, config: RunConfig) -> int:
+def cmd_table(args) -> int:
     if args.entry != "lip_fN":
         raise DomainError("criterion tables are provided for lip_fN")
-    p = config.prime
+    p = args.prime
     alpha = args.alpha
     N = IndexSet(*args.set)
     buf = io.StringIO()
@@ -155,30 +136,27 @@ def cmd_table(args, config: RunConfig) -> int:
                         _decimal(a, b)])
         else:
             w.writerow([n, "0", 0.0, 0.0, 0.0])
-    _emit(config, buf.getvalue().rstrip("\n"))
+    _emit(args, buf.getvalue().rstrip("\n"))
     return EXIT_PASS
 
 
-def cmd_haar(args, config: RunConfig) -> int:
-    reports = estimate_E_prefix_series(config.prime, args.k, args.samples,
-                                       config.seed)
-    y0 = estimate_Y0(config.prime, args.samples, config.seed)
-    _emit_json(config, samples=args.samples, Y0=y0.to_json_dict(),
+def cmd_haar(args) -> int:
+    reports = estimate_E_prefix_series(args.prime, args.k, args.samples,
+                                       args.seed)
+    y0 = estimate_Y0(args.prime, args.samples, args.seed)
+    _emit_json(args, samples=args.samples, Y0=y0.to_json_dict(),
                E_prefix=[r.to_json_dict() for r in reports])
     ok = y0.within(3.0) and all(r.within(3.0) for r in reports)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_list(args, config: RunConfig) -> int:
+def cmd_list(args) -> int:
     lines = []
     for name in ENTRY_NAMES:
-        try:
-            entry = build_entry(name, config.prime, max(config.precision, 16))
-        except DomainError:
-            continue
+        entry = build_entry(name, args.prime, args.precision)
         lines.append(f"{name}: claims = {sorted(entry.claims)}")
     lines.append(f"haar: claims = {sorted(HAAR_CLAIMS)}")
-    _emit(config, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return EXIT_PASS
 
 
@@ -244,9 +222,11 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        config = RunConfig(args.prime, args.precision, args.seed,
-                           args.fmt, args.out)
-        return args.fn(args, config)
+        if not is_prime(args.prime):
+            raise DomainError(f"{args.prime!r} is not a prime number")
+        if args.precision < 8:
+            raise DomainError("precision must be at least 8 digits")
+        return args.fn(args)
     except InsufficientPrecision as exc:
         print(f"insufficient precision: {exc} "
               f"(retry with a larger --precision)", file=sys.stderr)

@@ -83,10 +83,6 @@ def ord_int(n: int, p: int) -> int:
     return v
 
 
-def _ord_fraction(q: Fraction, p: int) -> int:
-    return ord_int(q.numerator, p) - ord_int(q.denominator, p)
-
-
 @dataclass(frozen=True)
 class PadicNumber:
     prime: int
@@ -405,18 +401,15 @@ def _make(p: int, v: int, unit: int, abs_precision: int,
 def _from_exact(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
     if q == 0:
         return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
-    if q.denominator == 1:
-        n = q.numerator
-        v = ord_int(n, p)
-        rel = max(abs_precision - v, 1)
-        return PadicNumber(p, v, n // p ** v % p ** rel, v + rel, q)
-    v = _ord_fraction(q, p)
+    num, den = q.numerator, q.denominator
+    a, b = ord_int(num, p), ord_int(den, p)
+    v = a - b
     # a value below the window widens it so the leading digit is visible
     rel = max(abs_precision - v, 1)
-    num = q.numerator // p ** max(0, ord_int(q.numerator, p))
-    den = q.denominator // p ** max(0, ord_int(q.denominator, p))
-    unit = num * pow(den, -1, p ** rel) % p ** rel
-    return PadicNumber(p, v, unit, v + rel, q)
+    unit = num // p ** a
+    if den != 1:
+        unit *= pow(den // p ** b, -1, p ** rel)
+    return PadicNumber(p, v, unit % p ** rel, v + rel, q)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -438,10 +431,7 @@ def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNu
     p = _as_prime_int(p)
     m = _POW_RE.match(text)
     if m:
-        k = int(m.group("k"))
-        if k >= 0:
-            return PadicNumber.from_rational(p ** k, 1, p, abs_precision)
-        return PadicNumber.from_rational(1, p ** (-k), p, abs_precision)
+        return _from_exact(p, Fraction(p) ** int(m.group("k")), abs_precision)
     m = _RAT_RE.match(text)
     if m:
         return PadicNumber.from_rational(

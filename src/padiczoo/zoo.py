@@ -522,12 +522,8 @@ def _sum_of_powers(gammas, alphas, y: PadicNumber,
 
 def _pzp_patterns(p: int, depth: int, precision: int) -> Iterator[PadicNumber]:
     """Nonzero y = sum c_j p**j, 1 <= j <= depth, in increasing pattern order."""
-    for total in range(1, p ** depth):
-        digits, t = [], total
-        for _ in range(depth):
-            t, d = divmod(t, p)
-            digits.append(d)
-        yield PadicNumber.from_digits(p, 1, digits, precision)
+    for t in range(1, p ** depth):
+        yield PadicNumber.from_unit(p, 1, t, max(precision, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -787,14 +783,13 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             raise DomainError("not differentiable at 0")
         return PadicNumber.zero(p, precision)
 
-    def claim_ratio_growth(limit: int = 10,
-                           alphas: Sequence[int] = (1, 2)) -> tuple:
+    def claim_ratio_growth(limit: int = 10) -> tuple:
         checked = 0
         for n in _upto(N.members(1) if N is not None else count(1), limit):
             x = PadicNumber.from_int(p ** (n * n), p,
                                      max(precision, n * n + 8))
             fx = evaluate(x).abs_value()
-            for alpha in alphas:
+            for alpha in (1, 2):
                 want = Fraction(p) ** ((-1 + alpha * n) * n)
                 if fx / x.abs_value() ** alpha != want:
                     return False, {"n": n, "alpha": alpha}
@@ -869,8 +864,8 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             if 2 * n + 12 >= x.abs_precision:
                 return
             # copy pairs 0..n, zero out pair n+1, restart with a 1 digit
-            digits = [x.digit(j) for j in range(2 * n + 2)] + [0, 0, 1]
-            xbar = PadicNumber.from_digits(p, 0, digits, x.abs_precision)
+            xbar = PadicNumber.from_unit(
+                p, 0, x.residue(2 * n + 2) + p ** (2 * n + 4), x.abs_precision)
             yield n, (x, xbar)
 
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,

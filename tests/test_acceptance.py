@@ -202,7 +202,7 @@ def test_criterion_06_composed_derivative_growth():
 
 def test_criterion_07_sphere_ratios():
     e = build_entry("prop26_g", 3)
-    r1 = e.run_claim("ratio-growth", limit=10, alphas=(1, 2))
+    r1 = e.run_claim("ratio-growth", limit=10)
     r2 = e.run_claim("derivative-zero", samples=1000)
     ok = r1.passed and r1.details["points"] == 10 and r2.passed
     _report(7, "sphere steps: |f|/|x|^a = p^{(-1+an)n}; derivative 0", ok)

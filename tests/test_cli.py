@@ -43,6 +43,23 @@ def test_usage_error_exit_2(capsys):
     assert main(["--prime", "9", "list"]) == 2  # not a prime
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--prime", "4", "haar"], "error: 4 is not a prime number\n"),
+    (["--prime", "4", "verify", "haar", "Y0"],
+     "error: 4 is not a prime number\n"),
+    (["--precision", "7", "haar"],
+     "error: precision must be at least 8 digits\n"),
+    (["--precision", "7", "table", "lip_fN"],
+     "error: precision must be at least 8 digits\n"),
+    (["--precision", "8", "list"], None),
+])
+def test_settings_checked_before_any_command(capsys, argv, err):
+    # haar builds no PadicNumber: only main's check refuses its settings;
+    # at the least precision, list prints what it prints by default
+    want = run(capsys, "list") if err is None else (2, "", err)
+    assert run(capsys, *argv) == want
+
+
 def test_format_has_no_csv_choice(capsys):
     # `table` always writes CSV, so --format offers only text and json
     code, out, err = run(capsys, "--format", "csv", "eval", "thm2_f", "0")

@@ -9,7 +9,6 @@ from padiczoo.core import (
     InsufficientPrecision,
     PadicNumber,
     _from_exact,
-    _ord_fraction,
     is_prime,
     ord_int,
     parse_padic,
@@ -412,11 +411,10 @@ def test_valuation_bound_is_the_exponent_of_norm_upper():
 
 
 def _from_exact_general(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
-    """_from_exact's path for every rational, the reference of its path
-    for integers."""
+    """_from_exact's former path for every rational, its reference."""
     if q == 0:
         return PadicNumber(p, abs_precision, 0, abs_precision, Fraction(0))
-    v = _ord_fraction(q, p)
+    v = ord_int(q.numerator, p) - ord_int(q.denominator, p)
     # a value below the window widens it so the leading digit is visible
     rel = max(abs_precision - v, 1)
     num = q.numerator // p ** max(0, ord_int(q.numerator, p))
@@ -426,18 +424,30 @@ def _from_exact_general(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
-def test_from_exact_integer_path_matches_general_path(p):
+def test_from_exact_matches_reference(p):
     ints = [0, 1, -1, 10 ** 40 + 7, -(10 ** 40 + 7), 2 ** 300 - 1,
             -(3 ** 200) * 5 ** 7]
     for k in (0, 1, 5, 70):
         for u in (1, p - 1, p + 1, 12345 * p + 1, 7 ** 90):
             ints += [p ** k * u, -p ** k * u]
-    for n in ints:
-        for prec in (-2, 0, 1, 3, 64, 200):
-            want = _state(_from_exact_general(p, Fraction(n), prec))
-            assert _state(_from_exact(p, Fraction(n), prec)) == want, (n, prec)
-            assert _state(PadicNumber.from_int(n, p, prec)) == want
-            assert _state(PadicNumber.from_rational(n, 1, p, prec)) == want
+    # denominators with and without factors of p; each cancels some of the
+    # numerators' factors of p, or all of them
+    dens = [1, p, p ** 3, p ** 70, p - 1 if p > 2 else 3, 7 ** 20 * p ** 2,
+            3 * 11 * p ** 5 if p not in (3, 11) else 13 * p ** 5]
+    for a in ints:
+        for b in dens:
+            for prec in (-2, 0, 1, 3, 64, 200):
+                want = _state(_from_exact_general(p, Fraction(a, b), prec))
+                assert _state(_from_exact(p, Fraction(a, b), prec)) == want, \
+                    (a, b, prec)
+                assert _state(PadicNumber.from_rational(a, b, p, prec)) == want
+                if b == 1:
+                    assert _state(PadicNumber.from_int(a, p, prec)) == want
+    for k in range(-5, 6):
+        for prec in (1, 8, 64):
+            want = (PadicNumber.from_rational(p ** k, 1, p, prec) if k >= 0
+                    else PadicNumber.from_rational(1, p ** -k, p, prec))
+            assert _state(parse_padic(f"p^{k}", p, prec)) == _state(want), k
 
 
 def _draw_operand(data, p: int, label: str) -> PadicNumber:

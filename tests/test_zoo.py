@@ -1,7 +1,7 @@
 import functools
 import inspect
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count, product, takewhile
 from math import gcd
 from typing import Iterator
 
@@ -421,6 +421,26 @@ def test_thm16_claims():
     e = build_entry("thm16", 3)
     assert e.run_claim("unbounded-derivative", limit=12).passed
     assert e.run_claim("zero-on-pzp", samples=50).passed
+
+
+def _pzp_patterns_by_digits(p: int, depth: int, precision: int):
+    """_pzp_patterns's former digit-list build, its reference."""
+    for total in range(1, p ** depth):
+        digits, t = [], total
+        for _ in range(depth):
+            t, d = divmod(t, p)
+            digits.append(d)
+        yield PadicNumber.from_digits(p, 1, digits, precision)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pzp_patterns_match_digit_list_build(p):
+    # the same points, field by field, in the same order: the search in
+    # check_nonconstant_combination returns the same first witness
+    for depth in (1, 2, 3):
+        for precision in (1, 8, 64):
+            got = list(zoo._pzp_patterns(p, depth, precision))
+            assert got == list(_pzp_patterns_by_digits(p, depth, precision))
 
 
 def test_check_nonconstant_combination():
@@ -1246,15 +1266,18 @@ def _refined_pairs(draw, p: int):
 def test_input_refinement_agrees_or_refuses(p, data):
     # f(x) and f(x') for a refinement x' of x agree on every digit both
     # give, or f(x) is refused for precision, or both lie off the domain;
-    # over every entry and over two-entry polynomials of degree <= 2
+    # over every entry and over two- and three-entry polynomials of
+    # degree <= 2
     f = _registered(data.draw(st.sampled_from(ENTRY_NAMES)), p)
     if data.draw(st.booleans(), label="polynomial"):
-        g = _registered(data.draw(st.sampled_from(ENTRY_NAMES)), p)
+        k = data.draw(st.integers(2, 3), label="members")
+        members = [f] + [_registered(data.draw(st.sampled_from(ENTRY_NAMES)),
+                                     p) for _ in range(k - 1)]
         exps = data.draw(st.sets(st.sampled_from(
-            [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), min_size=1,
-            max_size=3), label="monomials")
+            [e for e in product(range(3), repeat=k) if 1 <= sum(e) <= 2]),
+            min_size=1, max_size=3), label="monomials")
         try:
-            f = poly_combine([f, g], [
+            f = poly_combine(members, [
                 Monomial(PadicNumber.from_int(_unit(data.draw, p, 3), p), e)
                 for e in sorted(exps)])
         except DomainError:
