@@ -432,8 +432,8 @@ def test_from_exact_matches_reference(p):
             ints += [p ** k * u, -p ** k * u]
     # denominators with and without factors of p; each cancels some of the
     # numerators' factors of p, or all of them
-    dens = [1, p, p ** 3, p ** 70, p - 1 if p > 2 else 3, 7 ** 20 * p ** 2,
-            3 * 11 * p ** 5 if p not in (3, 11) else 13 * p ** 5]
+    dens = [1, p, p ** 3, p ** 70, p + 1, 7 ** 20 * p ** 2,
+            (p + 1) ** 9 * p ** 5]
     for a in ints:
         for b in dens:
             for prec in (-2, 0, 1, 3, 64, 200):
