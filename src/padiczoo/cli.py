@@ -117,6 +117,8 @@ def _decimal(a: int, q: int) -> float:
 def cmd_table(args) -> int:
     if args.entry != "lip_fN":
         raise DomainError("criterion tables are provided for lip_fN")
+    if args.n_max < 0:
+        raise DomainError("--n-max must be nonnegative")
     p = args.prime
     alpha = args.alpha
     N = IndexSet(*args.set)

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import count, takewhile, tee
+from itertools import count, islice, takewhile, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
@@ -105,6 +105,41 @@ def _probe_claim(trace: WitnessTrace, row_ok: Callable[[TraceRow], bool],
 # ---------------------------------------------------------------------------
 # locally constant step on the disjoint balls inside spheres |x| = p^-n
 
+# The witness claims run fn at the witnesses of the indices in members(start),
+# an IndexSet's or a cell's, with norms scaled by |c|: on the cell where only
+# member 1 holds, c_1 f_1 + ... + c_K f_K equals c_1 f_1 at every witness.
+
+def strict_fail(fn, members, c, precision, limit: int = 40) -> tuple:
+    """Phi_1 at thm34i's pairs (p**n, p**n - p**2n), on and off ball n,
+    agrees with c and has norm |c|."""
+    p = c.prime
+
+    def pairs() -> Iterator:
+        for n in _upto(members(1), limit):
+            w = max(precision, 2 * n + 4)
+            x = PadicNumber.from_rational(p ** n, 1, p, w)
+            y = PadicNumber.from_rational(p ** n - p ** (2 * n), 1, p, w)
+            yield n, (x, y)
+
+    trace = probe_strict(fn, pairs(), steps=limit)
+    return _probe_claim(trace, lambda r: r.quotient.agrees_with(c)
+                        and r.norm == c.abs_value())
+
+
+def derivative_at_zero(fn, members, c, precision, limit: int = 40) -> tuple:
+    """The quotients f(x) / x at thm34i's ball points x = p**n converge,
+    with norms |c| p**-n."""
+    p = c.prime
+    points = ((n, PadicNumber.from_rational(p ** n, 1, p,
+                                            max(precision, 2 * n + 4)))
+              for n in _upto(members(1), limit))
+    trace = probe_derivative(fn, PadicNumber.zero(p, precision), points,
+                             steps=limit)
+    converges = trace.verdict.kind == "converges_to"
+    return _probe_claim(trace, lambda r: converges
+                        and r.norm == c.abs_value() * Fraction(p) ** -r.index)
+
+
 def thm34i_fN(N: IndexSet, p: int,
               precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """Step function equal to p**2n on the ball of radius p**-2n at p**n
@@ -133,32 +168,14 @@ def thm34i_fN(N: IndexSet, p: int,
         return PadicNumber.from_rational(p ** (2 * n), 1, p, 2 * precision)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
-
-    def pair_witness(limit: int) -> Iterator:
-        for n in _upto(N.members(), limit):
-            w = max(precision, 2 * n + 4)
-            x = PadicNumber.from_rational(p ** n, 1, p, w)
-            y = PadicNumber.from_rational(p ** n - p ** (2 * n), 1, p, w)
-            yield n, (x, y)
-
-    def claim_strict_fail(limit: int = 40) -> tuple:
-        trace = probe_strict(fn, pair_witness(limit), steps=limit)
-        one = PadicNumber.one(p, precision)
-        return _probe_claim(trace, lambda r: r.quotient.agrees_with(one))
-
-    def claim_derivative_at_zero(limit: int = 40) -> tuple:
-        trace = probe_derivative(fn, PadicNumber.zero(p, precision),
-                                 ((n, x) for n, (x, _) in pair_witness(limit)),
-                                 steps=limit)
-        converges = trace.verdict.kind == "converges_to"
-        return _probe_claim(
-            trace, lambda r: converges and r.norm == Fraction(p) ** (-r.index))
+    bind = (fn, N.members, PadicNumber.one(p, precision), precision)
 
     # the derivative is 0 at the origin too, via |f(x)/x| = p^-n -> 0
     return ZooEntry(thm34i_fN.__name__, p, fn,
                     _zero_derivative(p, precision, "Qp"), claims={
-                        "strict-fail": claim_strict_fail,
-                        "derivative-at-zero": claim_derivative_at_zero,
+                        "strict-fail": functools.partial(strict_fail, *bind),
+                        "derivative-at-zero":
+                            functools.partial(derivative_at_zero, *bind),
                     })
 
 
@@ -224,6 +241,25 @@ def _spread(u: int, table: tuple) -> int:
     return total * scale
 
 
+def order2_witness(fn, members, c, precision, limit: int = 40) -> tuple:
+    """Phi_2 along thm34ii's triples (p**n, 0, p**n + p**n'), where n' is
+    the member after n, has norm |c|."""
+    p = c.prime
+
+    def triples() -> Iterator:
+        for n, n_next in zip(_upto(members(0), limit),
+                             islice(members(0), 1, None)):
+            w = max(precision, 2 * n_next + 4)
+            x = PadicNumber.from_rational(p ** n, 1, p, w)
+            y = PadicNumber.zero(p, w)
+            z = PadicNumber.from_rational(p ** n + p ** n_next, 1, p, w)
+            yield n, (x, y, z)
+
+    trace = probe_strict(fn, triples(), steps=limit)
+    return _probe_claim(trace, lambda r: r.norm == c.abs_value(),
+                        {"norms": [str(r.norm) for r in trace.rows[:5]]})
+
+
 def thm34ii_gN(N: IndexSet, p: int,
                precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """Digit-spreading map: digit a_n of x (n in N, n >= 0) contributes
@@ -249,15 +285,6 @@ def thm34ii_gN(N: IndexSet, p: int,
         return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
-
-    def triple_witness(limit: int) -> Iterator:
-        for n in _upto(N.members(), limit):
-            n_plus = next(N.members(n + 1))
-            w = max(precision, 2 * n_plus + 4)
-            x = PadicNumber.from_rational(p ** n, 1, p, w)
-            y = PadicNumber.zero(p, w)
-            z = PadicNumber.from_rational(p ** n + p ** n_plus, 1, p, w)
-            yield n, (x, y, z)
 
     def claim_contraction(pairs: int = 10_000, seed: int = 0) -> tuple:
         # x and y are residues mod p**precision from Stream.below, the draws
@@ -288,15 +315,12 @@ def thm34ii_gN(N: IndexSet, p: int,
         ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
         return checked > 0, {"pairs": pairs, "worst_ratio": ratio}
 
-    def claim_order2_witness(limit: int = 40) -> tuple:
-        trace = probe_strict(fn, triple_witness(limit), steps=limit)
-        return _probe_claim(trace, lambda r: r.norm == 1,
-                            {"norms": [str(r.norm) for r in trace.rows[:5]]})
-
     return ZooEntry(thm34ii_gN.__name__, p, fn,
                     _zero_derivative(p, precision, "Qp"), claims={
                         "contraction": claim_contraction,
-                        "order2-witness": claim_order2_witness,
+                        "order2-witness": functools.partial(
+                            order2_witness, fn, N.members,
+                            PadicNumber.one(p, precision), precision),
                     })
 
 
@@ -925,6 +949,18 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
                     })
 
 
+def quotient_norm_one(fn, members, c, precision, limit: int = 40) -> tuple:
+    """The quotients at 0 along p**n / (1 - p) = p**n (1 + p + p**2 + ...),
+    on thm2_g's ball n, have norm |c|."""
+    p = c.prime
+    points = ((n, PadicNumber.from_rational(p ** n, 1 - p, p,
+                                            max(precision, n + 16)))
+              for n in _upto(members(1), limit))
+    trace = probe_derivative(fn, PadicNumber.zero(p, precision), points,
+                             steps=limit)
+    return _probe_claim(trace, lambda r: r.norm == c.abs_value())
+
+
 def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
            N: Optional[IndexSet] = None) -> ZooEntry:
     """Rescaled copies p**n f(x') on the disjoint balls p**n + p**(n+1) Z_p
@@ -956,19 +992,10 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
 
-    def zero_witness(limit: int) -> Iterator:
-        for n in _upto(N.members(1) if N is not None else count(1), limit):
-            w = max(precision, n + 16)
-            # p^n (1 + p + p^2 + ...) = p^n / (1 - p)
-            yield n, PadicNumber.from_rational(p ** n, 1 - p, p, w)
-
-    def claim_not_differentiable_at_zero(limit: int = 40) -> tuple:
-        zero = PadicNumber.zero(p, precision)
-        trace = probe_derivative(fn, zero, zero_witness(limit), steps=limit)
-        return _probe_claim(trace, lambda r: r.norm == 1)
-
     return ZooEntry(thm2_g.__name__, p, fn, claims={
-        "quotient-norm-one": claim_not_differentiable_at_zero})
+        "quotient-norm-one": functools.partial(
+            quotient_norm_one, fn, count if N is None else N.members,
+            PadicNumber.one(p, precision), precision)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,18 @@ for the Monte Carlo criteria, which use 3-sigma bands, and the stated wall
 clock budgets."""
 
 import time
-from fractions import Fraction
-from itertools import product, takewhile
-
-import pytest
+from itertools import product
 
 from padiczoo.core import PadicNumber, pow_one_plus
 from padiczoo.families import CellEnumerator, IndexSet, cell, generate_family
-from padiczoo.quotients import probe_derivative, probe_strict
 from padiczoo.zoo import (
     Monomial,
     build_entry,
+    derivative_at_zero,
     linear_combination,
+    order2_witness,
     poly_combine,
+    strict_fail,
     thm16_fbeta,
     thm34i_fN,
     thm34ii_gN,
@@ -60,34 +59,20 @@ def test_criterion_02_ball_step_probes():
     rng = Stream(2)
     sets = [IndexSet(k, i) for i in range(k)]
     entries = [thm34i_fN(N, p) for N in sets]
-    witness_cell = CellEnumerator(sets, [1, 0, 0])
-    indices = list(takewhile(lambda n: n <= 40, witness_cell))
+    members = CellEnumerator(sets, [1, 0, 0]).members
     ok = True
     for trial in range(100):
         alphas = [PadicNumber.from_int(
             rng.below(p ** 4) * p + 1 + rng.below(p - 1), p)
             for _ in range(k)]  # random units
-        comb = linear_combination(entries, alphas)
-        zero = PadicNumber.zero(p)
-        seq = ((n, PadicNumber.from_int(p ** n, p, max(64, 2 * n + 4)))
-               for n in indices)
-        trace = probe_derivative(comb.function, zero, seq, steps=len(indices))
-        if not all(r.norm == Fraction(p) ** -r.index for r in trace.rows):
-            ok = False
-            break
-        pairs = ((n, (PadicNumber.from_int(p ** n, p, max(64, 2 * n + 4)),
-                      PadicNumber.from_int(p ** n - p ** (2 * n), p,
-                                           max(64, 2 * n + 4))))
-                 for n in indices)
-        strict = probe_strict(comb.function, pairs, steps=len(indices))
-        a1 = alphas[0]
-        if not all(r.quotient.agrees_with(a1)
-                   and r.quotient.abs_value() == a1.abs_value()
-                   for r in strict.rows):
+        comb = linear_combination(entries, alphas).function
+        derivative, _ = derivative_at_zero(comb, members, alphas[0], 64)
+        strict, details = strict_fail(comb, members, alphas[0], 64)
+        if not (derivative and strict):
             ok = False
             break
     _report(2, "ball-step probes: derivative norms p^-n, strict value a1",
-            ok, f"{len(indices)} cell indices x 100 vectors")
+            ok, f"{details['steps']} cell indices x 100 vectors")
 
 
 def test_criterion_03_digit_spreading():
@@ -97,8 +82,7 @@ def test_criterion_03_digit_spreading():
     entries = [thm34ii_gN(N, p, 32) for N in sets]
     betas = [PadicNumber.from_int((1 + rng.below(p ** 4 - 1)) * p + 1, p)
              for _ in range(k)]
-    comb = linear_combination(entries, betas, 32)
-    g = comb.function
+    g = linear_combination(entries, betas, 32).function
     ok = True
     for _ in range(10_000):
         x = rng.zp(p, 20)
@@ -109,22 +93,10 @@ def test_criterion_03_digit_spreading():
         if (g(x) - g(y)).norm_upper() > d.abs_value() ** 2:
             ok = False
             break
-    witness_cell = CellEnumerator(sets, [1, 0, 0])
-
-    def triples():
-        for n in witness_cell:
-            if n > 40:
-                return
-            n_plus = next(witness_cell.members(n + 1))
-            w = max(64, 2 * n_plus + 4)
-            yield n, (PadicNumber.from_int(p ** n, p, w),
-                      PadicNumber.zero(p, w),
-                      PadicNumber.from_int(p ** n + p ** n_plus, p, w))
-
-    trace = probe_strict(g, triples(), steps=40)
-    b1 = betas[0].abs_value()
-    ok = ok and bool(trace.rows) and all(r.norm == b1 for r in trace.rows)
-    _report(3, "digit-spreading contraction + order-2 witness |b1|", ok)
+    members = CellEnumerator(sets, [1, 0, 0]).members
+    witness, _ = order2_witness(g, members, betas[0], 64)
+    _report(3, "digit-spreading contraction + order-2 witness |b1|",
+            ok and witness)
 
 
 def test_criterion_04_lip_scale():

@@ -152,6 +152,17 @@ def test_table_overflow_matches_fraction_reference(capsys):
     assert ",inf" in out and ",inf" not in out[:out.index("\n1000,")]
 
 
+@pytest.mark.parametrize("n_max", ["-1", "-100"])
+def test_table_negative_n_max_is_refused(capsys, n_max):
+    # a negative row bound is a usage error, as a negative --limit is, not
+    # a table of the header alone; 0 still gives the row n = 0
+    assert run(capsys, "--prime", "3", "table", "lip_fN", "--n-max",
+               n_max) == (2, "", "error: --n-max must be nonnegative\n")
+    code, out, _ = run(capsys, "--prime", "3", "table", "lip_fN",
+                       "--n-max", "0")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_haar_command_reproducible(capsys):
     code1, out1, _ = run(capsys, "--prime", "3", "--seed", "11", "haar",
                          "--samples", "1500", "--k", "4")

@@ -12,8 +12,8 @@ from conftest import ball_exponent, decompose, reference_lip_rows
 import padiczoo.zoo as zoo
 from padiczoo.cli import _decimal
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
-    InsufficientPrecision, PadicNumber
-from padiczoo.families import IndexSet
+    InsufficientPrecision, PadicNumber, pow_one_plus
+from padiczoo.families import IndexSet, cell, generate_family
 from padiczoo.haar import Stream
 from padiczoo.quotients import PadicFunction
 from padiczoo.vanderput import criterion_products
@@ -26,11 +26,15 @@ from padiczoo.zoo import (
     check_nonconstant_combination,
     cor15_Fbeta,
     cor15_gbeta,
+    derivative_at_zero,
     linear_combination,
     lip_coefficient_rows,
     lip_fN,
+    order2_witness,
     poly_combine,
     prop26_fN,
+    quotient_norm_one,
+    strict_fail,
     thm16_fbeta,
     thm2_f,
     thm2_g,
@@ -572,6 +576,27 @@ def test_cor15_g_difference_quotients_tend_to_the_derivative(p, beta):
             assert gaps[-1] < gaps[0], (n, x.render())
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cor15_values_on_the_branches_around_a_nonzero_centre(p):
+    # on branch n, g(a + p**(n^2) t) = p**n t**beta for t in 1 + pZ_p, and
+    # F adds the shell value there
+    beta = PadicNumber.from_int(1 + p, p)
+    shell = thm16_fbeta(beta, p).function
+    centres = [PadicNumber.from_rational(1, 1 + p, p),
+               PadicNumber.from_int(p, p), PadicNumber.from_rational(2, p, p)]
+    for a in centres:
+        g = cor15_gbeta(beta, a, p).function
+        F = cor15_Fbeta(beta, a, p).function
+        assert g(a).is_exact_zero
+        for n in (1, 2, 3):
+            for t in (1, 1 + p, 1 + 2 * p ** 3):
+                x = a + PadicNumber.from_int(p ** (n * n) * t, p)
+                want = PadicNumber.from_int(p ** n, p) * pow_one_plus(
+                    PadicNumber.from_int(t - 1, p), beta, DEFAULT_PRECISION)
+                assert g(x).agrees_with(want), (a, n, t)
+                assert F(x).agrees_with(shell(x) + want), (a, n, t)
+
+
 # --- sphere step functions ---------------------------------------------------
 
 def test_prop26_values():
@@ -805,6 +830,72 @@ def test_poly_combine_gives_pinched_entries_no_shell_derivative(name):
     q = (poly.function(x + h) - poly.function(x)) / h
     assert q.abs_value() == 9
     assert poly.derivative is None and poly.claims == {}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_combine_values_are_products_of_entry_values(p):
+    # a monomial of degree 2 or 3 is its coefficient times its entries'
+    # values, each multiplied in as often as its exponent says
+    one, two = PadicNumber.one(p), PadicNumber.from_int(2, p)
+    steps = [thm34i_fN(IndexSet(3, b), p) for b in (0, 1)]
+    shells = [thm16_fbeta(PadicNumber.from_int(b, p), p) for b in (1, 4)]
+    cases = [
+        # indices 3 and 7 lie in both sets, 1 and 5 in the first, 2 and 6 in
+        # the second
+        (steps, [PadicNumber.from_int(p ** n, p) for n in range(1, 8)]),
+        # shells n = 0..3, with offsets y = 0 and y = p
+        (shells, [PadicNumber.from_rational(1 + t, p ** n, p)
+                  for n in range(4) for t in (0, p ** (n + 1))]),
+    ]
+    exponents = [(2, 0), (0, 3), (1, 1), (2, 1), (1, 2), (3, 0)]
+    nonzero = 0
+    for entries, points in cases:
+        for monomials in [[Monomial(c, e)] for e in exponents
+                          for c in (one, two)] + [[
+                Monomial(two, (2, 0)), Monomial(one, (1, 2)),
+                Monomial(two, (0, 3))]]:
+            poly = poly_combine(entries, monomials)
+            for x in points:
+                want = PadicNumber.zero(p)
+                for m in monomials:
+                    term = m.coefficient
+                    for e, k in zip(entries, m.exponents):
+                        for _ in range(k):
+                            term = term * e.function(x)
+                    want = want + term
+                nonzero += not want.is_zero_like
+                assert poly.function(x).agrees_with(want), (monomials, x)
+    assert nonzero > 100
+
+
+SCALED_CLAIMS = [("thm34i", strict_fail), ("thm34i", derivative_at_zero),
+                 ("thm34ii", order2_witness), ("thm2_fN", quotient_norm_one)]
+
+
+@pytest.mark.parametrize("entry,claim", SCALED_CLAIMS,
+                         ids=[c.__name__ for _, c in SCALED_CLAIMS])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_witness_claims_hold_on_combinations_along_a_cell(k, p, entry,
+                                                          claim):
+    # on the cell where only member 1 holds, c_1 f_1 + ... + c_k f_k is
+    # c_1 f_1 at every witness, so the claim passes at scale c_1; unscaled
+    # it fails whenever |c_1| < 1
+    draw = Stream(10 * k + p)
+    units = [PadicNumber.from_int(1 + draw.below(p - 1)
+                                  + p * draw.below(p ** 4), p)
+             for _ in range(k)]
+    entries = [build_entry(entry, p, family_size=k, member_bit=i)
+               for i in range(k)]
+    members = cell(generate_family(k), [1] + [0] * (k - 1)).members
+    for c1 in (units[0], PadicNumber.from_int(p, p) * units[0],
+               PadicNumber.from_int(p ** 2, p)):
+        comb = linear_combination(entries, [c1] + units[1:]).function
+        passed, details = claim(comb, members, c1, DEFAULT_PRECISION)
+        assert passed and details["steps"] >= 1, c1
+        if c1.abs_value() < 1:
+            assert not claim(comb, members, PadicNumber.one(p),
+                             DEFAULT_PRECISION)[0], c1
 
 
 def test_unknown_claim_rejected():
