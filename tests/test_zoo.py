@@ -847,13 +847,13 @@ def test_poly_combine_values_are_products_of_entry_values(p):
         (shells, [PadicNumber.from_rational(1 + t, p ** n, p)
                   for n in range(4) for t in (0, p ** (n + 1))]),
     ]
-    exponents = [(2, 0), (0, 3), (1, 1), (2, 1), (1, 2), (3, 0)]
+    polys = [[Monomial(c, e)] for c in (one, two)
+             for e in [(2, 0), (0, 3), (1, 1), (2, 1), (1, 2), (3, 0)]]
+    polys.append([Monomial(two, (2, 0)), Monomial(one, (1, 2)),
+                  Monomial(two, (0, 3))])
     nonzero = 0
     for entries, points in cases:
-        for monomials in [[Monomial(c, e)] for e in exponents
-                          for c in (one, two)] + [[
-                Monomial(two, (2, 0)), Monomial(one, (1, 2)),
-                Monomial(two, (0, 3))]]:
+        for monomials in polys:
             poly = poly_combine(entries, monomials)
             for x in points:
                 want = PadicNumber.zero(p)
