@@ -3,12 +3,18 @@ emit criterion tables and Monte Carlo reports.
 
 Exit codes: 0 pass, 1 claim failure, 2 usage, parse or output error, 3
 insufficient precision.
+
+``main`` may be called any number of times in one process.  It builds the
+argparse parser on its first call and reuses it for every later one, so an
+in-process caller (a test suite, a benchmark harness, library code) pays
+for the build once; a shell run builds one parser either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -98,7 +104,7 @@ def _verify_haar(args) -> int:
         reports = [slln_report(p, args.k, n, seed)]
     else:
         raise DomainError(
-            f"unknown haar claim {args.claim!r}; have {HAAR_CLAIMS}")
+            f"unknown haar claim {args.claim!r}; have {sorted(HAAR_CLAIMS)}")
     passed = all(r.within(3.0) for r in reports)
     _emit_json(args, entry="haar", claim=args.claim, passed=passed,
                reports=[r.to_json_dict() for r in reports])
@@ -169,7 +175,10 @@ def _parse_set(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it as it was, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="padiczoo",
         description="Evaluate and verify pathological p-adic functions.")

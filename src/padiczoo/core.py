@@ -416,7 +416,7 @@ def _from_exact(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
 
 _DIGITS_RE = re.compile(
     r"^\s*(?P<digits>\d+(?:\s+\d+)*)\s*\*\s*(?P<p>\d+)\^(?P<v>-?\d+)"
-    r"\s*\(mod\s*\d+\^(?P<n>-?\d+)\)\s*$")
+    r"\s*\(mod\s*(?P<q>\d+)\^(?P<n>-?\d+)\)\s*$")
 _POW_RE = re.compile(r"^\s*p\^(?P<k>-?\d+)\s*$")
 _RAT_RE = re.compile(r"^\s*(?P<num>-?\d+)\s*/\s*(?P<den>-?\d+)\s*$")
 _INT_RE = re.compile(r"^\s*(?P<num>-?\d+)\s*$")
@@ -426,7 +426,8 @@ def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNu
     """Parse a value from the rendered digit format or a rational shorthand.
 
     Accepted forms: ``0``, integers, ``a/b``, ``p^k``, and the rendered
-    format ``d0 d1 ... * p^v (mod p^N)``.
+    format ``d0 d1 ... * p^v (mod p^N)``.  A rendered literal whose bases
+    are not p, or whose digits reach p^N (v + len(digits) > N), is refused.
     """
     p = _as_prime_int(p)
     m = _POW_RE.match(text)
@@ -441,11 +442,14 @@ def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNu
         return PadicNumber.from_int(int(m.group("num")), p, abs_precision)
     m = _DIGITS_RE.match(text)
     if m:
-        if int(m.group("p")) != p:
+        if int(m.group("p")) != p or int(m.group("q")) != p:
             raise DomainError(f"prime in literal differs from configured p={p}")
         digits = [int(d) for d in m.group("digits").split()]
-        return PadicNumber.from_digits(
-            p, int(m.group("v")), digits, int(m.group("n")))
+        v, n = int(m.group("v")), int(m.group("n"))
+        if v + len(digits) > n:
+            raise DomainError(f"literal has a digit at p^{v + len(digits) - 1}"
+                              f" but is known only mod p^{n}")
+        return PadicNumber.from_digits(p, v, digits, n)
     raise DomainError(f"cannot parse p-adic literal: {text!r}")
 
 

@@ -3,9 +3,16 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import padiczoo
+from padiczoo.core import DEFAULT_PRECISION, parse_padic
 
 from conftest import power_str, reference_lip_rows
 from padiczoo.cli import main
@@ -88,9 +95,51 @@ def test_verify_pass_and_fail(capsys):
     assert code == 1
 
 
-def test_verify_unknown_claim_exit_2(capsys):
-    code, _, err = run(capsys, "--prime", "5", "verify", "thm34i", "nope")
-    assert code == 2
+@pytest.mark.parametrize("entry, have", [
+    ("thm34i", "['derivative-at-zero', 'strict-fail']"),
+    ("haar", "['E-prefix', 'Y0', 'slln']"),
+])
+def test_verify_unknown_claim_exit_2(capsys, entry, have):
+    code, out, err = run(capsys, "--prime", "5", "verify", entry, "nope")
+    assert code == 2 and out == ""
+    assert err.endswith(f"claim 'nope'; have {have}\n")
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call in the process; the settings, output
+    # target and errors of one call must not leak into the next
+    import padiczoo.cli as cli
+    argv = ["--prime", "3", "eval", "cor15", "1/3"]
+    target = tmp_path / "o.json"
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, "--prime", "3", "--precision", "32",
+                       "--seed", "7", "--format", "json", "--out",
+                       str(target), "eval", "cor15", "--beta", "1/7",
+                       "--set", "3,1", "1/3")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["seed"] == 7
+    code, out, err = run(capsys, "eval", "cor15")
+    assert code == 2 and out == "" and "required" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: padiczoo")
+    last = run(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
+    cli.build_parser.cache_clear()
+    assert last == run(capsys, *argv)  # the first call of a fresh parser
+    x = parse_padic("1/3", 3, DEFAULT_PRECISION)
+    want = build_entry("cor15", 3, DEFAULT_PRECISION).function(x).render()
+    assert last == (0, want + "\n", "")
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first main call, not when cli is imported
+    code = ("import padiczoo.cli as c\n"
+            "print('built', c.build_parser.cache_info().currsize)\n")
+    src = str(Path(padiczoo.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "built 0"
 
 
 def test_table(capsys):

@@ -174,6 +174,17 @@ def test_parse_render_roundtrip(rng):
         parse_padic("spam", 5)
 
 
+@pytest.mark.parametrize("text", [
+    "1 2 * 3^0 (mod 5^2)",  # the modulus is not a power of p
+    "1 2 * 5^0 (mod 3^2)",  # nor is the digit base
+    "1 2 0 1 1 * 3^0 (mod 3^2)",  # digits up to 3^4, known only mod 3^2
+    "1 * 3^2 (mod 3^2)",  # its one digit sits at the modulus
+])
+def test_parse_refuses_a_literal_its_modulus_does_not_cover(text):
+    with pytest.raises(DomainError):
+        parse_padic(text, 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_ultrametric(p, data):
