@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 import padiczoo
-from padiczoo.core import DEFAULT_PRECISION, parse_padic
-
 from conftest import power_str, reference_lip_rows
 from padiczoo.cli import main
 from padiczoo.families import IndexSet
@@ -95,14 +93,13 @@ def test_verify_pass_and_fail(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("entry, have", [
-    ("thm34i", "['derivative-at-zero', 'strict-fail']"),
-    ("haar", "['E-prefix', 'Y0', 'slln']"),
-])
-def test_verify_unknown_claim_exit_2(capsys, entry, have):
-    code, out, err = run(capsys, "--prime", "5", "verify", entry, "nope")
-    assert code == 2 and out == ""
-    assert err.endswith(f"claim 'nope'; have {have}\n")
+def test_verify_unknown_claim_exit_2(capsys):
+    # both entry kinds name their claims as a sorted list
+    for entry, have in (("thm34i", "['derivative-at-zero', 'strict-fail']"),
+                        ("haar", "['E-prefix', 'Y0', 'slln']")):
+        code, out, err = run(capsys, "--prime", "5", "verify", entry, "nope")
+        assert code == 2 and out == ""
+        assert err.endswith(f"claim 'nope'; have {have}\n")
 
 
 def test_repeated_main_calls_share_no_state(tmp_path, capsys):
@@ -125,10 +122,8 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     last = run(capsys, *argv)
     assert cli.build_parser.cache_info().misses == 1
     cli.build_parser.cache_clear()
+    assert last[0] == 0
     assert last == run(capsys, *argv)  # the first call of a fresh parser
-    x = parse_padic("1/3", 3, DEFAULT_PRECISION)
-    want = build_entry("cor15", 3, DEFAULT_PRECISION).function(x).render()
-    assert last == (0, want + "\n", "")
 
 
 def test_import_builds_no_parser():
