@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from padiczoo.cli import main
-from padiczoo.core import DEFAULT_PRECISION, DomainError, PadicNumber
+from padiczoo.core import (DEFAULT_PRECISION, DomainError, PadicNumber,
+                           _as_prime_int, _make)
 from padiczoo.haar import Stream
 from padiczoo.vanderput import schedule_exponent
 
@@ -41,6 +42,54 @@ def reference_lip_rows(N, p: int, n_limit: int):
         m_running = max(m_running, schedule_exponent(k, p))
         yield n, k, m_running, Fraction(p) ** (-m_running) if n in N \
             else Fraction(0)
+
+
+# --- digit I/O references ----------------------------------------------------
+# ``PadicNumber.digits``, ``render`` and ``from_digits`` as they were before
+# the chunk kernel, one digit per step, kept verbatim as references
+
+def reference_digits(self) -> tuple:
+    """Known digits from the valuation upward."""
+    if self.unit == 0:
+        return ()
+    p, rel = self.prime, self.abs_precision - self.valuation
+    # peel machine-word limbs of k digits off the unit, then split each
+    # limb with small-integer arithmetic: p**k < 2**62
+    k = max(1, 62 // p.bit_length())
+    out, u, limb = [], self.unit, p ** k
+    for _ in range(0, rel, k):
+        u, w = divmod(u, limb)
+        for _ in range(k):
+            w, d = divmod(w, p)
+            out.append(d)
+    return tuple(out[:rel])
+
+
+def reference_render(self) -> str:
+    p, n = self.prime, self.abs_precision
+    if self.is_exact_zero:
+        return "0"
+    if self.unit == 0:
+        return f"0 (mod {p}^{n})"
+    ds = list(reference_digits(self))
+    while len(ds) > 1 and ds[-1] == 0:
+        ds.pop()
+    body = " ".join(str(d) for d in ds)
+    return f"{body} * {p}^{self.valuation} (mod {p}^{n})"
+
+
+def reference_from_digits(p, valuation: int, digits,
+                          abs_precision: int) -> PadicNumber:
+    """Value with the given base-p digits starting at ``valuation``."""
+    p = _as_prime_int(p)
+    ds = [int(d) for d in digits]
+    if any(not 0 <= d < p for d in ds):
+        raise DomainError(f"digit out of range for p={p}: {ds}")
+    unit = 0
+    for d in reversed(ds):
+        unit = unit * p + d
+    n = max(abs_precision, valuation + len(ds))
+    return _make(p, valuation, unit, n)
 
 
 # --- van der Put references ------------------------------------------------

@@ -43,6 +43,19 @@ def test_eval_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("p, literal, want", [
+    ("3", "0 (mod 3^8)", 0),  # a rendered bounded zero reads back
+    ("3", "0 (mod 5^8)", 2),
+    ("3", "1 3 * 3^0 (mod 3^2)", 2),  # a digit >= p
+    ("11", "11 * 11^0 (mod 11^1)", 2),
+    ("11", "10 * 11^0 (mod 11^1)", 0),
+])
+def test_eval_reads_rendered_literals(capsys, p, literal, want):
+    code, out, err = run(capsys, "--prime", p, "eval", "thm34i", literal)
+    assert code == want
+    assert ("error" in err) == (want == 2)
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--prime", "9", "list"]) == 2  # not a prime

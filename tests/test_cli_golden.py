@@ -4,7 +4,9 @@ Each digest is the sha256 of the joined stdout of one group of
 ``padiczoo`` commands, and each group pins the exit code of every command
 in it.  The groups are ``list``, ``eval`` of every entry at a fixed set of
 points in text and JSON, and ``table lip_fN`` at two exponents, at
-p = 2, 3 and 5.  There is also ``verify`` of every listed claim at its
+p = 2, 3 and 5.  ``eval-wide`` runs the same ``eval`` group at p = 11 and
+p = 101, where a digit takes two or three characters, on the same
+points plus one 256-digit literal.  There is also ``verify`` of every listed claim at its
 default size, at p = 3.  Any change to a value, a verdict, a report or an
 error exit changes a digest and fails here.
 
@@ -32,6 +34,12 @@ def _points(p: int) -> list[str]:
             f"0 0 0 * {p}^0 (mod {p}^3)"]
 
 
+def _long_literal(p: int) -> str:
+    """A fixed 256-digit literal at valuation 0, known mod p^256."""
+    digits = " ".join(str((i * i + 7 * i + 1) % p) for i in range(256))
+    return f"{digits} * {p}^0 (mod {p}^256)"
+
+
 def _unseeded_claims(p: int) -> list[tuple[str, str]]:
     return [(name, claim) for name in ENTRY_NAMES
             for claim, fn in sorted(build_entry(name, p).claims.items())
@@ -51,10 +59,11 @@ def _commands(p: int, command: str) -> list[list[str]]:
                 for name, claim in _unseeded_claims(p)]
     if command == "list":
         return [head + ["list"]]
-    if command == "eval":
+    if command in ("eval", "eval-wide"):
+        points = _points(p) + [_long_literal(p)] * (command == "eval-wide")
         return [head + fmt + ["eval", name, x]
                 for fmt in ([], ["--format", "json"])
-                for name in ENTRY_NAMES for x in _points(p)]
+                for name in ENTRY_NAMES for x in points]
     if command == "table":
         return [head + ["table", "lip_fN", "--alpha", alpha,
                         "--n-max", "300"] for alpha in ("-1", "2")]
@@ -123,6 +132,26 @@ GOLDEN = {
     (5, "verify-unseeded"): (
         "029908189e3fcc4d1d98f6ea496e39228f9957967dda7410c4736020d95c94f5",
         "0000000000000"),
+    (11, "eval-wide"): (
+        "e22c51bb0ac70f588b5d6e98e0f8a7f8267daeac56e59ffd2f0e6f2a57558cb4",
+        "000000000000000000000000000000000003000000000002222002230"
+        "000000000000000030000000000000000003000000000000000000000"
+        "000000000000000000000000000000000000000000000002222002200"
+        "000000000222200220000000000022220022000000000000000000000"
+        "000000000000000030000000000022220022300000000000000000300"
+        "000000000000000030000000000000000000000000000000000000000"
+        "000000000000000000000000000022220022000000000002222002200"
+        "0000000002222002200"),
+    (101, "eval-wide"): (
+        "0938f650e6a802ad74eed8027b76c16e0dab78d38b22bf8b2ae15386df812d9d",
+        "000000000000000000000000000000000003000000000002222002230"
+        "000000000000000030000000000000000003000000000000000000000"
+        "000000000000000000000000000000000000000000000002222002200"
+        "000000000222200220000000000022220022000000000000000000000"
+        "000000000000000030000000000022220022300000000000000000300"
+        "000000000000000030000000000000000000000000000000000000000"
+        "000000000000000000000000000022220022000000000002222002200"
+        "0000000002222002200"),
 }
 
 

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_digits, reference_from_digits, reference_render
 from padiczoo.core import (
     DEFAULT_PRECISION,
     DomainError,
     InsufficientPrecision,
     PadicNumber,
+    _digit_io,
     _from_exact,
     is_prime,
     ord_int,
@@ -161,11 +163,79 @@ def test_mul_by_bounded_zero():
     assert z.is_bounded_zero and z.abs_precision == 10
 
 
-def test_parse_render_roundtrip(rng):
-    for p in (2, 3, 5):
-        for _ in range(50):
-            x = rng.nonzero(p, 16, (-3, 5))
-            assert parse_padic(x.render(), p).render() == x.render()
+# -- digit I/O: the chunk kernel against the per-digit reference ------------
+
+_IO_PRIMES = (2, 3, 5, 7, 11, 101, 7919)
+
+
+def _chunk_lengths(p: int) -> list[int]:
+    """Digit counts at the edges of the chunk kernel: c digits per chunk
+    with p**c <= 256, k digits per limb with p**k < 2**30, and 1024."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    k = c
+    while p ** (k + c) < 2 ** 30:
+        k += c
+    return sorted({1, c - 1, c, c + 1, k - 1, k, k + 1, 1024})
+
+
+@st.composite
+def _io_values(draw) -> PadicNumber:
+    """A value in one of the four states, at valuation -5..5 with a digit
+    count from ``_chunk_lengths``; the unit's high digits are often 0."""
+    p = draw(st.sampled_from(_IO_PRIMES))
+    v = draw(st.integers(-5, 5))
+    n = draw(st.sampled_from(_chunk_lengths(p)))
+    state = draw(st.sampled_from(["truncated", "exact", "bounded zero",
+                                  "exact zero"]))
+    if state == "bounded zero":
+        return PadicNumber.bounded_zero(p, v + n)
+    if state == "exact zero":
+        return PadicNumber.zero(p, v + n)
+    unit = draw(st.integers(0, p ** draw(st.integers(0, n)) - 1))
+    if state == "truncated":
+        return PadicNumber.from_unit(p, v, unit, v + n)
+    num = draw(st.sampled_from([1, -1])) * unit * p ** max(v, 0)
+    den = draw(st.integers(1, 10 ** 6)) * p ** max(-v, 0)
+    return PadicNumber.from_rational(num, den, p, v + n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_io_values(), st.data())
+def test_digit_kernel_matches_per_digit_reference(x, data):
+    assert x.digits == reference_digits(x)
+    assert x.render() == reference_render(x)
+    p, ds = x.prime, list(reference_digits(x))
+    if ds and data.draw(st.booleans()):  # one digit out of range
+        ds[data.draw(st.integers(0, len(ds) - 1))] = data.draw(
+            st.sampled_from([-p, -1, p, p + 1, 2 * p]))
+    args = (p, x.valuation, ds, x.abs_precision)
+    try:
+        want = reference_from_digits(*args)
+    except DomainError:
+        with pytest.raises(DomainError):
+            PadicNumber.from_digits(*args)
+    else:
+        assert PadicNumber.from_digits(*args) == want
+
+
+@pytest.mark.parametrize("p", _IO_PRIMES)
+def test_digit_io_tables_stay_small(p):
+    # a chunk is the most digits whose table has at most 256 entries
+    io = _digit_io(p)
+    assert io.chunk <= 256 < io.chunk * p or io.chunk == p > 256
+    assert io.limb == io.chunk ** len(io.shifts) == p ** len(io.powers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_io_values())
+def test_parse_render_roundtrip(x):
+    text = x.render()
+    assert parse_padic(text, x.prime).render() == text
+
+
+def test_parse_shorthands():
     assert parse_padic("0", 5).is_exact_zero
     assert parse_padic("p^3", 2).abs_value() == Fraction(1, 8)
     assert parse_padic("1/3", 5).agrees_with(
@@ -179,10 +249,54 @@ def test_parse_render_roundtrip(rng):
     "1 2 * 5^0 (mod 3^2)",  # nor is the digit base
     "1 2 0 1 1 * 3^0 (mod 3^2)",  # digits up to 3^4, known only mod 3^2
     "1 * 3^2 (mod 3^2)",  # its one digit sits at the modulus
+    "0 (mod 5^8)",  # a bounded zero's modulus is not a power of p either
 ])
 def test_parse_refuses_a_literal_its_modulus_does_not_cover(text):
     with pytest.raises(DomainError):
         parse_padic(text, 3)
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1  0\t2 * 3^0 (mod 3^3)", (1, 0, 2)),
+    (" 1 2* 3^1 (mod 3^3)", (1, 2)),
+    ("2 0 0 *3^-1 (mod 3^2)", (2, 0, 0)),
+    ("* 3^0 (mod 3^2)", None),
+    ("1 2 x * 3^0 (mod 3^2)", None),
+    ("1 -2 * 3^0 (mod 3^2)", None),
+    ("1, 2 * 3^0 (mod 3^2)", None),
+])
+def test_parse_digit_list_spacing(text, digits):
+    if digits is None:
+        with pytest.raises(DomainError, match="cannot parse"):
+            parse_padic(text, 3)
+    else:
+        assert parse_padic(text, 3).digits[:len(digits)] == digits
+
+
+def test_parse_reads_a_bounded_zero_back():
+    for n in (8, 0, -3):
+        z = PadicNumber.bounded_zero(3, n)
+        assert parse_padic(z.render(), 3) == z
+
+
+@pytest.mark.parametrize("p, text, bad", [
+    (3, "1 3 * 3^0 (mod 3^2)", "digit 3 at position 1"),
+    (11, "11 * 11^0 (mod 11^1)", "digit 11 at position 0"),
+])
+def test_parse_refuses_a_digit_out_of_range(p, text, bad):
+    with pytest.raises(DomainError, match=bad):
+        parse_padic(text, p)
+
+
+def test_from_digits_names_the_first_bad_digit_only():
+    assert parse_padic("10 * 11^0 (mod 11^1)", 11).digits == (10,)
+    with pytest.raises(DomainError, match="digit -1 at position 0"):
+        PadicNumber.from_digits(3, 0, [-1], 4)
+    ds = [1] * 1024
+    ds[700], ds[900] = 5, -2
+    with pytest.raises(DomainError, match="digit 5 at position 700") as e:
+        PadicNumber.from_digits(3, -4, ds, 1020)
+    assert "p^696" in str(e.value) and len(str(e.value)) < 80
 
 
 @settings(max_examples=150, deadline=None)
