@@ -3,12 +3,17 @@
 Sampling is counter-based and fully reproducible: digit block j of sample i
 under seed s is the sha256 of (s mod 2**64, i, j, p), so estimates are
 bit-identical across runs and platforms for a fixed seed.  The estimators
-read the draws in chunks of ``CHUNK``: one call hashes block j of every
-draw in a chunk into one array of words, and each digit pair is then
-tested as a column of that array.  They hash blocks on demand: the E-prefix
-scan hashes block j + 1 only for the draws whose pairs in blocks 0..j held
-no zero pair, and Y0 reads only block 0.  The tests check them against a
-reader that expands each draw digit by digit.
+read the draws in chunks of ``CHUNK``: block j of every draw in a chunk is
+hashed and read as one big-endian int, whose 64-bit slots each hold one
+digit pair, and every pair is tested at once by the divisibility test of
+Granlund & Montgomery (PLDI 1994) and Lemire, Kaser & Kurz (2019): for odd
+p, x = 0 mod p iff x * (p**-1 mod 2**32) mod 2**32 <= (2**32 - 1) // p.
+That costs one ``from_bytes``, two multiplies by a 32-bit constant and one
+``to_bytes`` per chunk and block, and each digit pair is then a column of
+flag bytes.  They hash blocks on demand: the E-prefix scan hashes block
+j + 1 only for the draws whose pairs in blocks 0..j held no zero pair, and
+Y0 reads only block 0.  The tests check them against a reader that
+expands each draw digit by digit.
 ``Stream`` draws whole residues from the same counter for every other
 random point in the package.
 """
@@ -18,12 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import sys
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DomainError, PadicNumber
+from .core import DomainError, PadicNumber, is_prime
 
 DIGITS_PER_BLOCK = 8
 PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
@@ -34,14 +37,9 @@ PAIRS_PER_BLOCK = DIGITS_PER_BLOCK // 2
 # Monte Carlo noise for small p
 _pack_message = struct.Struct(">QQQQ").pack
 _SEED_MASK = 2 ** 64 - 1
-# draws per call of _words: 64 KiB of digests, few enough calls that their
+# draws per test of a block: 64 KiB of digests, few enough tests that their
 # overhead is lost in the hashing
 CHUNK = 2048
-# the array typecode of a 4-byte word: "I" wherever C's int has 4 bytes,
-# else "L" (C's long has at least 4); digests hold big-endian words, so a
-# little-endian host swaps them
-_WORD = "I" if array("I").itemsize == 4 else "L"
-_SWAP = sys.byteorder == "little"
 
 
 # CPython's built-in sha256 (``_sha2`` from 3.12, ``_sha256`` before) does
@@ -57,9 +55,9 @@ except ImportError:
 
 
 def _check_prime_fits(p: int) -> None:
-    if p >= 2 ** 32:
-        raise DomainError(f"p={p} is not below 2**32: digits are drawn as "
-                          "32-bit words reduced mod p")
+    if not (is_prime(p) and p < 2 ** 32):
+        raise DomainError(f"p={p} is not a prime below 2**32: digits are "
+                          "drawn as 32-bit words reduced mod p")
 
 
 class Stream:
@@ -175,33 +173,47 @@ def _binomial_report(p: int, samples: int, seed: int, statistic: str,
                     dict(extras))
 
 
-def _words(s: int, p: int, b: int, draws) -> array:
-    """The words of block b of each draw in ``draws``: word t of the n-th
-    draw is item 8 * n + t, so ``w[t::8]`` is the column of word t."""
-    sha256 = hashlib.sha256
-    w = array(_WORD, b"".join([sha256(_pack_message(s, i, b, p)).digest()
-                               for i in draws]))
-    if _SWAP:
-        w.byteswap()
-    return w
+def _pair_flags(p: int, s: int):
+    """The digit-pair test at p under s = seed mod 2**64: a function of a
+    block b and a sequence of at most CHUNK draws whose result holds, at
+    byte 32 * n + 8 * j + 7, 0 iff pair j of block b of the n-th draw is
+    (0, 0)."""
+    # word x = 0 mod p iff x * c mod 2**32 <= limit; p = 2 has no inverse
+    # mod 2**32, but c = 2**31 moves its parity bit to the top
+    c, limit = ((2 ** 31, 0) if p == 2 else
+                (pow(p, -1, 2 ** 32), (2 ** 32 - 1) // p))
+    # per 64-bit slot: the low word, and the add whose carry into bit 32
+    # flags x * c mod 2**32 > limit
+    low = int.from_bytes(struct.pack(">Q", 2 ** 32 - 1) * (4 * CHUNK), "big")
+    carry = int.from_bytes(struct.pack(">Q", 2 ** 32 - 1 - limit)
+                           * (4 * CHUNK), "big")
+
+    def flags(b: int, draws) -> bytes:
+        sha256, n = hashlib.sha256, len(draws)
+        x = int.from_bytes(b"".join([sha256(_pack_message(s, i, b, p)).digest()
+                                     for i in draws]), "big")
+        add = carry >> 256 * (CHUNK - n)
+        odd = (x & low) * c & low
+        even = (x >> 32 & low) * c & low
+        return ((odd + add | even + add) >> 32).to_bytes(32 * n, "big")
+    return flags
 
 
 def _spans(n_pairs: int) -> list[range]:
-    """Per block, the word offsets of its pairs among the first n_pairs."""
-    return [range(0, 2 * min(PAIRS_PER_BLOCK, n_pairs - first), 2)
+    """Per block, the indices in it of its pairs among the first n_pairs."""
+    return [range(min(PAIRS_PER_BLOCK, n_pairs - first))
             for first in range(0, n_pairs, PAIRS_PER_BLOCK)]
 
 
 def _zero_pair_count(p: int, n_pairs: int, samples: int, s: int) -> int:
     """Zero pairs among the first n_pairs pairs of draws 0..samples - 1."""
-    spans, total = _spans(n_pairs), 0
+    flags, spans, total = _pair_flags(p, s), _spans(n_pairs), 0
     for first in range(0, samples, CHUNK):
         draws = range(first, min(first + CHUNK, samples))
         for b, span in enumerate(spans):
-            w = _words(s, p, b, draws)
-            for t in span:
-                total += sum([1 for x, y in zip(w[t::8], w[t + 1::8])
-                              if not x % p and not y % p])
+            f = flags(b, draws)
+            for j in span:
+                total += f[7 + 8 * j::32].count(0)
     return total
 
 
@@ -234,21 +246,20 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
         raise DomainError("k_max must be >= 1")
     if samples < 1:
         raise DomainError("need at least one sample")
-    s, spans = seed & _SEED_MASK, _spans(k_max)
+    flags, spans = _pair_flags(p, seed & _SEED_MASK), _spans(k_max)
     stops = [0] * (k_max + 1)
     for first in range(0, samples, CHUNK):
         live = range(first, min(first + CHUNK, samples))
         for b, span in enumerate(spans):
-            w = _words(s, p, b, live)
-            alive = bytearray([1]) * len(live)
-            for t in span:
-                hits = [n for n, x, y in zip(itertools.count(), w[t::8],
-                                             w[t + 1::8])
-                        if not x % p and not y % p and alive[n]]
-                stops[b * PAIRS_PER_BLOCK + t // 2] += len(hits)
-                for n in hits:
-                    alive[n] = 0
-            live = list(itertools.compress(live, alive))
+            f, left = flags(b, live), len(live)
+            # one byte per live draw, 1 while it has met no zero pair
+            alive = int.from_bytes(b"\1" * left, "big")
+            for j in span:
+                alive &= int.from_bytes(f[7 + 8 * j::32], "big")
+                was, left = left, alive.bit_count()
+                stops[b * PAIRS_PER_BLOCK + j] += was - left
+            live = list(itertools.compress(live, alive.to_bytes(len(live),
+                                                                "big")))
         stops[k_max] += len(live)
     survivors = list(itertools.accumulate(reversed(stops[1:])))[::-1]
     return [

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padiczoo
 import padiczoo.haar as haar
@@ -19,7 +20,7 @@ from padiczoo.haar import (
     _check_prime_fits,
     _pack_message,
     _SEED_MASK,
-    _words,
+    _pair_flags,
     estimate_E_prefix_series,
     estimate_Y0,
     slln_report,
@@ -28,7 +29,7 @@ from padiczoo.haar import (
 
 # --- the reference reader: each draw expanded digit by digit -----------------
 
-# decodes a block with struct, apart from the estimators' array path
+# decodes a block with struct, apart from the estimators' bigint kernel
 _unpack_words = struct.Struct(">8I").unpack
 
 
@@ -181,14 +182,16 @@ def test_input_validation():
         estimate_E_prefix_series(3, 0, 10, 0)
     with pytest.raises(DomainError):
         slln_report(3, 0, 10, 0)
-    # digits are 32-bit words reduced mod p: larger primes are refused
+    # digits are 32-bit words reduced mod p: larger primes are refused, and
+    # so is a non-prime, whose residues are no statistic of Z_p
     big = 4294967311  # the least prime above 2**32
-    with pytest.raises(DomainError):
-        estimate_Y0(big, 10, 0)
-    with pytest.raises(DomainError):
-        estimate_E_prefix_series(big, 2, 10, 0)
-    with pytest.raises(DomainError):
-        slln_report(big, 2, 10, 0)
+    for p in (big, 0, 1, 4, 6, 9, 2 ** 32 - 1):
+        with pytest.raises(DomainError):
+            estimate_Y0(p, 10, 0)
+        with pytest.raises(DomainError):
+            estimate_E_prefix_series(p, 2, 10, 0)
+        with pytest.raises(DomainError):
+            slln_report(p, 2, 10, 0)
     assert estimate_Y0(4294967291, 10, 0).within(3.0)  # below 2**32
 
 
@@ -272,18 +275,90 @@ def _first_zero_pair(digits: list[int], k: int) -> int:
     return next((t for t in range(k) if pair_indicator(digits, t)), k)
 
 
-@pytest.mark.parametrize("p", [2, 101])
+def _reference_flags(digest: bytes, p: int) -> list[int]:
+    """Per digit pair of a block, 1 iff it is not (0, 0)."""
+    w = _unpack_words(digest)
+    return [int(bool(w[2 * j] % p or w[2 * j + 1] % p)) for j in range(4)]
+
+
+def _assert_flags_match(p, s, b, draws):
+    f = _pair_flags(p, s)(b, draws)
+    assert len(f) == 32 * len(draws)
+    for n, i in enumerate(draws):
+        block = haar.hashlib.sha256(_pack_message(s, i, b, p)).digest()
+        assert [f[32 * n + 8 * j + 7] for j in range(4)] \
+            == _reference_flags(block, p), (p, b, i)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 65537, 2 ** 31 - 1,
+                               4294967291])
 @pytest.mark.parametrize("seed", [0, 2 ** 64 + 3])
-def test_words_match_struct_decoding(p, seed):
-    s = seed & _SEED_MASK
+def test_pair_flags_match_struct_decoding(p, seed):
     for b in range(3):
         for draws in (range(5), [9, 2, CHUNK + 7]):
-            w = _words(s, p, b, draws)
-            assert len(w) == 8 * len(draws)
-            for n, i in enumerate(draws):
-                block = haar.hashlib.sha256(_pack_message(s, i, b, p))
-                assert tuple(w[8 * n:8 * n + 8]) == struct.unpack(
-                    ">8I", block.digest()), (b, i)
+            _assert_flags_match(p, seed & _SEED_MASK, b, draws)
+
+
+def _edge_words(p: int) -> list[int]:
+    """Words next to where x * p**-1 mod 2**32 <= (2**32 - 1) // p turns:
+    k * p and (k + 1) * p mod 2**32 for k = (2**32 - 1) // p map to the
+    limit and one above it."""
+    k = (2 ** 32 - 1) // p
+    return sorted({w % 2 ** 32 for w in (0, 1, p - 1, p, p + 1, k * p,
+                                         k * p + 1, (k + 1) * p,
+                                         2 ** 32 - p, 2 ** 32 - 1)})
+
+
+class _PoolHashlib:
+    """A sha256 whose digests hold only words of ``pool``: word t is
+    ``pool[w % len(pool)]`` for word t w of the real digest."""
+
+    def __init__(self, real, pool):
+        self.real, self.pool = real, pool
+
+    def sha256(self, message):
+        words = _unpack_words(self.real.sha256(message).digest())
+        return _Digest(struct.pack(
+            ">8I", *[self.pool[w % len(self.pool)] for w in words]))
+
+
+class _Digest:
+    def __init__(self, digest: bytes):
+        self._digest = digest
+
+    def digest(self) -> bytes:
+        return self._digest
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 257, 65537,
+                               2 ** 31 - 1, 4294967291])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_pair_test_at_edge_words(p, data):
+    # sha256 words almost never sit where the divisibility test turns, so
+    # the digests here are built from those words and a few uniform ones
+    edges = _edge_words(p)
+    pool = data.draw(st.lists(st.sampled_from(edges), min_size=1,
+                              max_size=2 * len(edges)), label="edges") \
+        + data.draw(st.lists(st.integers(0, 2 ** 32 - 1), max_size=3),
+                    label="uniform")
+    n = data.draw(st.sampled_from([1, 2, CHUNK - 1, CHUNK]), label="draws")
+    k = data.draw(st.integers(1, 10), label="k")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(haar, "hashlib", _PoolHashlib(haar.hashlib, pool))
+        for b in range(-(-k // 4)):
+            _assert_flags_match(p, seed, b, range(n))
+        # the estimators against the per-digit reader: E-prefix's live
+        # draws shrink at every block where a pool word is divisible
+        draws = _reference_draws(p, seed, n, k)
+        stops = [_first_zero_pair(d, k) for d in draws]
+        assert [r.estimate for r in estimate_E_prefix_series(p, k, n, seed)] \
+            == [sum(1 for j in stops if j > t) / n for t in range(k)]
+        total = sum(pair_indicator(d, t) for d in draws for t in range(k))
+        assert slln_report(p, k, n, seed).estimate == total / (n * k)
+        hits = sum(pair_indicator(d, 0) for d in draws)
+        assert estimate_Y0(p, n, seed).estimate == hits / n
 
 
 class _CountingHashlib:
