@@ -259,15 +259,21 @@ def test_kernels_match_digit_stream_across_chunks(p):
     draws = _reference_draws(p, seed, most, 10)
     for n in (CHUNK - 1, CHUNK, CHUNK + 1, most):
         for k in (1, 2, 4, 5, 10):
-            stops = [_first_zero_pair(d, k) for d in draws[:n]]
-            series = estimate_E_prefix_series(p, k, n, seed)
-            assert [r.estimate for r in series] == [
-                sum(1 for j in stops if j > t) / n for t in range(k)], (n, k)
-            total = sum(pair_indicator(d, t) for d in draws[:n]
-                        for t in range(k))
-            assert slln_report(p, k, n, seed).estimate == total / (n * k)
-        hits = sum(pair_indicator(d, 0) for d in draws[:n])
-        assert estimate_Y0(p, n, seed).estimate == hits / n, n
+            _assert_estimators_match(p, seed, k, draws[:n])
+
+
+def _assert_estimators_match(p, seed, k, draws):
+    """E-prefix and slln over k pairs, and Y0, on draws 0..n - 1 against
+    their n reference draws."""
+    n = len(draws)
+    stops = [_first_zero_pair(d, k) for d in draws]
+    series = estimate_E_prefix_series(p, k, n, seed)
+    assert [r.estimate for r in series] == [
+        sum(1 for j in stops if j > t) / n for t in range(k)], (n, k)
+    total = sum(pair_indicator(d, t) for d in draws for t in range(k))
+    assert slln_report(p, k, n, seed).estimate == total / (n * k), (n, k)
+    hits = sum(pair_indicator(d, 0) for d in draws)
+    assert estimate_Y0(p, n, seed).estimate == hits / n, n
 
 
 def _first_zero_pair(digits: list[int], k: int) -> int:
@@ -349,16 +355,9 @@ def test_pair_test_at_edge_words(p, data):
         mp.setattr(haar, "hashlib", _PoolHashlib(haar.hashlib, pool))
         for b in range(-(-k // 4)):
             _assert_flags_match(p, seed, b, range(n))
-        # the estimators against the per-digit reader: E-prefix's live
-        # draws shrink at every block where a pool word is divisible
-        draws = _reference_draws(p, seed, n, k)
-        stops = [_first_zero_pair(d, k) for d in draws]
-        assert [r.estimate for r in estimate_E_prefix_series(p, k, n, seed)] \
-            == [sum(1 for j in stops if j > t) / n for t in range(k)]
-        total = sum(pair_indicator(d, t) for d in draws for t in range(k))
-        assert slln_report(p, k, n, seed).estimate == total / (n * k)
-        hits = sum(pair_indicator(d, 0) for d in draws)
-        assert estimate_Y0(p, n, seed).estimate == hits / n
+        # E-prefix's live draws shrink at every block where a pool word is
+        # divisible
+        _assert_estimators_match(p, seed, k, _reference_draws(p, seed, n, k))
 
 
 class _CountingHashlib:
