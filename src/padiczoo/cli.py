@@ -237,6 +237,8 @@ def main(argv: Optional[list] = None) -> int:
             raise DomainError(f"{args.prime!r} is not a prime number")
         if args.precision < 8:
             raise DomainError("precision must be at least 8 digits")
+        if args.fmt == "json" and args.command in ("list", "table"):
+            raise DomainError(f"{args.command} has no JSON output")
         return args.fn(args)
     except InsufficientPrecision as exc:
         print(f"insufficient precision: {exc} "

@@ -69,7 +69,7 @@ class Stream:
     bits(n) + 64 bits mod n, so it is within statistical distance 2**-64 of
     uniform on [0, n).  A point takes all its digits from one such draw,
     and a zero residue gives a bounded zero; the sampled claims that work
-    on residues call ``below`` directly.
+    on residues draw their pairs from ``below`` through ``zoo.depth_pairs``.
     """
 
     def __init__(self, seed: int):

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import count, islice, takewhile, tee
+from itertools import count, cycle, islice, takewhile, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
@@ -100,6 +100,21 @@ def _probe_claim(trace: WitnessTrace, row_ok: Callable[[TraceRow], bool],
     if shown is None:
         shown = {"verdict": trace.verdict.kind}
     return passed, {"steps": len(trace.rows), **shown}
+
+
+def depth_pairs(draw: Stream, p: int, precision: int,
+                depths: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Pairs (k, x, y) at depths 0 <= k <= precision: x is uniform mod
+    p**precision and y = x + p**k z mod p**precision for a uniform unit z,
+    so v(y - x) = k below precision, and y = x at precision."""
+    below, top = draw.below, p ** precision
+    # p**k and the number of units mod p**(precision - k), 1 at k = precision
+    steps = [(p ** k, p ** (precision - k) * (p - 1) // p or 1)
+             for k in range(precision + 1)]
+    for k in depths:
+        x, (step, units) = below(top), steps[k]
+        rest, lead = divmod(below(units), p - 1)  # z = lead + 1 + p rest
+        yield k, x, (x + step * (lead + 1 + p * rest)) % top
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +301,27 @@ def thm34ii_gN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
 
-    def claim_contraction(pairs: int = 10_000, seed: int = 0) -> tuple:
-        # x and y are residues mod p**precision from Stream.below, the draws
-        # that draw.zp makes points of, and g reads them through the
-        # kernel its evaluate uses.  g of either is known mod
-        # p**(2 precision), so with the spreads S(x) != S(y),
-        # |g(x) - g(y)| = p**-e for e = v(S(x) - S(y)), and with
-        # S(x) == S(y) it is at most p**-(2 precision).  The ratio of that
-        # bound to |x - y|**2 is p**(2 v(x - y) - e); worst is its largest
-        # exponent.  Points are built only for a failure report
-        draw, table = Stream(seed), _spread_table(N, p, 0, precision)
-        below, top = draw.below, p ** precision
-        worst, checked = None, 0
-        for _ in range(pairs):
-            x, y = below(top), below(top)
-            if x == y:
-                continue
-            checked += 1
+    def claim_contraction(per_depth: int = 32, seed: int = 0) -> tuple:
+        # per_depth residue pairs at each depth below precision, read
+        # through evaluate's kernel, with v = v(x - y) read off the residues.
+        # g is known mod p**(2 precision), so |g(x) - g(y)| <= p**-e for
+        # e = v(S(x) - S(y)), or 2 precision if the spreads agree; its ratio
+        # to |x - y|**2 is at most p**(2v - e), worst the largest exponent
+        table, worst, depths = _spread_table(N, p, 0, precision), None, set()
+        for _, x, y in depth_pairs(Stream(seed), p, precision, islice(
+                cycle(range(precision)), per_depth * precision)):
             gx, gy = _spread(x, table), _spread(y, table)
-            e = 2 * precision if gx == gy else ord_int(gx - gy, p)
-            excess = 2 * ord_int(x - y, p) - e
-            if worst is None or excess > worst:
-                worst = excess
+            v = ord_int(x - y, p)
+            depths.add(v)
+            excess = 2 * v - (2 * precision if gx == gy else ord_int(gx - gy, p))
+            worst = excess if worst is None else max(worst, excess)
             if excess > 0:
                 return False, {
                     "x": PadicNumber.from_unit(p, 0, x, precision).render(),
                     "y": PadicNumber.from_unit(p, 0, y, precision).render()}
         ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
-        return checked > 0, {"pairs": pairs, "worst_ratio": ratio}
+        return bool(depths), {"per_depth": per_depth, "depths": len(depths),
+                              "worst_ratio": ratio}
 
     return ZooEntry(thm34ii_gN.__name__, p, fn,
                     _zero_derivative(p, precision, "Qp"), claims={
@@ -899,31 +907,23 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             raise InsufficientPrecision(
                 f"continuity modulus up to m = {m_max} needs "
                 f"{2 * m_max + 2} digits")
-        # x is a residue mod p**precision from Stream.below, the draw that
-        # draw.zp makes a point of, and y is x plus a drawn offset in
-        # p**(2m+2) Z_p; f reads both through the zero-pair kernel its
-        # evaluate uses.  f of a residue r is exact, r mod p**2i before its
-        # first zero pair i (0 when i = 0), or else r known mod
-        # p**(2 half); every precision involved is at least 2m+2, so
-        # |f(x) - f(y)| < p**-(2m+1) iff the two integers agree mod
-        # p**(2m+2).  The kernel scans all the pairs, not only the m+1 that
-        # x and y share, so the check reads every digit that f reads
+        # residues x, y at depth 2m+2 (y = x at 2m+2 = precision), read
+        # through evaluate's zero-pair kernel, which scans every pair f reads.
+        # f(r) is exact, r mod p**2i before r's first zero pair i, or else r
+        # known mod p**(2 half); every precision is at least 2m+2, so
+        # |f(x) - f(y)| < p**-(2m+1) iff the integers agree mod p**(2m+2)
         half = precision // 2
         mods = [p ** (2 * i) for i in range(half + 1)]
-        below, top = Stream(seed).below, p ** precision
 
         def f(r: int) -> int:
             i = _first_zero_pair(r, p, half)
             return r % mods[half if i is None else i]
 
-        for i in range(pairs):
-            m = 1 + i % m_max
-            step = mods[m + 1]
-            x = below(top)
-            y = (x + below(top // step) * step) % top
-            if (f(x) - f(y)) % step:
+        for k, x, y in depth_pairs(Stream(seed), p, precision, islice(
+                cycle(range(4, 2 * m_max + 3, 2)), pairs)):
+            if (f(x) - f(y)) % mods[k // 2]:
                 return False, {
-                    "m": m,
+                    "m": k // 2 - 1,
                     "x": PadicNumber.from_unit(p, 0, x, precision).render()}
         return pairs > 0, {"pairs": pairs, "m_max": m_max}
 

@@ -11,6 +11,7 @@ from padiczoo.families import CellEnumerator, IndexSet, cell, generate_family
 from padiczoo.zoo import (
     Monomial,
     build_entry,
+    depth_pairs,
     derivative_at_zero,
     linear_combination,
     order2_witness,
@@ -84,9 +85,9 @@ def test_criterion_03_digit_spreading():
              for _ in range(k)]
     g = linear_combination(entries, betas, 32).function
     ok = True
-    for _ in range(10_000):
-        x = rng.zp(p, 20)
-        y = rng.zp(p, 20)
+    # 500 pairs at each depth v(x - y) = 0..19 of the 20 digits drawn
+    for _, a, b in depth_pairs(rng, p, 20, (i % 20 for i in range(10_000))):
+        x, y = (PadicNumber.from_unit(p, 0, r, 20) for r in (a, b))
         d = x - y
         if d.is_zero_like:
             continue

@@ -84,6 +84,17 @@ def test_format_has_no_csv_choice(capsys):
     assert code == 2 and out == "" and "invalid choice" in err
 
 
+@pytest.mark.parametrize("command", [["list"], ["table", "lip_fN"]])
+def test_format_json_is_refused_where_there_is_no_json(tmp_path, capsys,
+                                                       command):
+    # list prints text and table prints CSV: neither passes them off as JSON
+    target = tmp_path / "out.json"
+    assert run(capsys, "--format", "json", "--out", str(target),
+               *command) == (2, "", f"error: {command[0]} has no JSON "
+                                    "output\n")
+    assert not target.exists()
+
+
 def test_insufficient_precision_exit_3(capsys):
     # an all-zero digit window is a precision-bounded zero: ball membership
     # for the sparse series cannot be decided

@@ -110,7 +110,7 @@ GOLDEN = {
         "66f3873d23984c5f0fa334982d4642e1140cef74988959f5c71cb5b71b7c6968",
         "00"),
     (3, "verify"): (
-        "8a750a7731e6af4a1016fa2e5029fea5cd0ba0d415ae83e41c888308d232a260",
+        "085c454da273aec2ec52402c892b35bb74a37c1b2ab3f12f404ae42b9881b9c0",
         "0000000000000000000"),
     (3, "verify-unseeded-set"): (
         "af42edda5c68fb9355e0c473535d32482207404544a738bc718a3a0e48f1e749",

@@ -12,7 +12,7 @@ from conftest import ball_exponent, decompose, reference_lip_rows
 import padiczoo.zoo as zoo
 from padiczoo.cli import _decimal
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
-    InsufficientPrecision, PadicNumber, pow_one_plus
+    InsufficientPrecision, PadicNumber, ord_int, pow_one_plus
 from padiczoo.families import IndexSet, cell, generate_family
 from padiczoo.haar import Stream
 from padiczoo.quotients import PadicFunction
@@ -26,6 +26,7 @@ from padiczoo.zoo import (
     check_nonconstant_combination,
     cor15_Fbeta,
     cor15_gbeta,
+    depth_pairs,
     derivative_at_zero,
     linear_combination,
     lip_coefficient_rows,
@@ -156,7 +157,7 @@ def test_thm34ii_digit_spreading():
 def test_thm34ii_claims():
     e = build_entry("thm34ii", 5)
     assert e.run_claim("order2-witness", limit=24).passed
-    assert e.run_claim("contraction", pairs=300).passed
+    assert e.run_claim("contraction", per_depth=5).passed
 
 
 # --- sparse van der Put construction ----------------------------------------
@@ -1093,8 +1094,27 @@ def test_thm34ii_limb_kernel_matches_digit_sum(p, N, data):
 
 # --- every seeded claim, over seeds -------------------------------------------
 
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("precision", [1, 2, 22, 23, 64, 130])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_depth_pairs_keep_their_depths(p, precision, data):
+    # every depth once, then a drawn schedule
+    schedule = list(range(precision + 1)) + data.draw(
+        st.lists(st.integers(0, precision), max_size=20), label="depths")
+    seed = data.draw(st.integers(0, 2 ** 64), label="seed")
+    got = list(depth_pairs(Stream(seed), p, precision, iter(schedule)))
+    assert got == list(depth_pairs(Stream(seed), p, precision, schedule))
+    assert [k for k, _, _ in got] == schedule
+    for k, x, y in got:
+        assert 0 <= x < p ** precision and 0 <= y < p ** precision
+        if k < precision:
+            assert ord_int(y - x, p) == k, (k, x, y)
+        else:
+            assert y == x
+
 SAMPLED_CLAIMS = [
-    ("thm34ii", "contraction", {"pairs": 150}),
+    ("thm34ii", "contraction", {"per_depth": 2}),
     ("thm16", "zero-on-pzp", {"samples": 40}),
     ("prop26", "derivative-zero", {"samples": 100}),
     ("prop26_g", "derivative-zero", {"samples": 100}),
@@ -1126,27 +1146,40 @@ def test_sampled_claims_fail_on_no_draws(entry, claim, size):
     assert not e.run_claim(claim, **{k: 0 for k in size}).passed
 
 
-def _contraction_fraction(evaluate, p, precision, pairs, seed):
+def _pair_at_depth(draw, p, k, precision):
+    """Points x and y = x + p**k z known mod p**precision, from a ``zp`` draw
+    and a draw of the unit z: leading digit 1..p-1 and the digits after it
+    from one draw below (p - 1) p**(precision - k - 1).  At k = precision
+    the second draw is below 1, and y = x."""
+    x = draw.zp(p, precision)
+    if k == precision:
+        return x, x + draw.zp(p, precision, min_valuation=k)
+    rest, lead = divmod(draw.below((p - 1) * p ** (precision - k - 1)), p - 1)
+    return x, x + PadicNumber.from_unit(p, k, lead + 1 + p * rest, precision)
+
+
+def _contraction_fraction(evaluate, p, precision, per_depth, seed):
     """thm34ii's contraction claim before integer valuations: the ratio
-    |g(x) - g(y)| / |x - y|**2 in Fraction arithmetic."""
+    |g(x) - g(y)| / |x - y|**2 in Fraction arithmetic, over per_depth
+    sweeps of the depths 0..precision - 1."""
     draw = Stream(seed)
-    worst, checked = Fraction(0), 0
-    for _ in range(pairs):
-        x = draw.zp(p, precision)
-        y = draw.zp(p, precision)
-        d = x - y
-        if d.is_zero_like:
-            continue
-        checked += 1
-        lhs = (evaluate(x) - evaluate(y)).norm_upper()
-        rhs = d.abs_value() ** 2
-        if rhs > 0:
+    worst, depths = Fraction(0), set()
+    for _ in range(per_depth):
+        for k in range(precision):
+            x, y = _pair_at_depth(draw, p, k, precision)
+            d = x - y
+            if d.is_zero_like:
+                continue
+            depths.add(d.valuation)
+            lhs = (evaluate(x) - evaluate(y)).norm_upper()
+            rhs = d.abs_value() ** 2
             worst = max(worst, lhs / rhs)
-        if lhs > rhs:
-            return ClaimResult("contraction", False,
-                               {"x": x.render(), "y": y.render()})
-    return ClaimResult("contraction", checked > 0,
-                       {"pairs": pairs, "worst_ratio": float(worst)})
+            if lhs > rhs:
+                return ClaimResult("contraction", False,
+                                   {"x": x.render(), "y": y.render()})
+    return ClaimResult("contraction", bool(depths), {
+        "per_depth": per_depth, "depths": len(depths),
+        "worst_ratio": float(worst)})
 
 
 def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
@@ -1157,8 +1190,7 @@ def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
     for i in range(pairs):
         m = 1 + i % m_max
         bound = Fraction(p) ** (-(2 * m + 1))
-        x = draw.zp(p, precision)
-        y = x + draw.zp(p, precision, min_valuation=2 * m + 2)
+        x, y = _pair_at_depth(draw, p, 2 * m + 2, precision)
         if (x - y).norm_upper() >= bound:
             continue
         checked += 1
@@ -1170,7 +1202,7 @@ def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
                        {"pairs": pairs, "m_max": m_max})
 
 
-def _assert_claims_match_references(p, precision, size, seeds,
+def _assert_claims_match_references(p, precision, per_depth, pairs, seeds,
                                     sets=(IndexSet(3, 0),),
                                     m_maxes=(1, 10)):
     """Each whole ClaimResult equals the one its Fraction reference gives on
@@ -1179,35 +1211,38 @@ def _assert_claims_match_references(p, precision, size, seeds,
         g = thm34ii_gN(N, p, precision)
         g_ref = _thm34ii_digit_sum(N, p, precision)
         for seed in seeds:
-            assert g.run_claim("contraction", pairs=size, seed=seed) \
-                == _contraction_fraction(g_ref, p, precision, size, seed), \
-                (N, seed)
+            assert g.run_claim("contraction", per_depth=per_depth,
+                               seed=seed) \
+                == _contraction_fraction(g_ref, p, precision, per_depth,
+                                         seed), (N, seed)
     f = thm2_f(p, precision)
     for seed in seeds:
         for m_max in m_maxes:
-            assert f.run_claim("continuity-modulus", pairs=size,
+            assert f.run_claim("continuity-modulus", pairs=pairs,
                                m_max=m_max, seed=seed) \
                 == _continuity_modulus_fraction(
                     lambda x: _thm2_f_by_digit(p, precision, x), p,
-                    precision, size, m_max, seed), (seed, m_max)
+                    precision, pairs, m_max, seed), (seed, m_max)
 
 
-@pytest.mark.parametrize("size", [1, 150])
+@pytest.mark.parametrize("per_depth,pairs", [(0, 1), (2, 150)])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
-def test_sampled_claims_match_fraction_references(p, size):
+def test_sampled_claims_match_fraction_references(p, per_depth, pairs):
     # odd precisions (2 (precision // 2) < precision), limb edges (k = 31 at
-    # p = 2, 3 and k = 20 at p = 5, 7) and draws of more than one sha256
-    # block (p**130 at p = 101)
+    # p = 2, 3 and k = 20 at p = 5, 7), draws of more than one sha256 block
+    # (p**130 at p = 101), and y = x at the depth 2 m_max + 2 = 22.  The
+    # pairs of per_depth = 1 are the first sweep of per_depth = 2's, so the
+    # small case checks contraction's report on no pairs instead
     for precision in (22, 23, 31, 32, 62, 63, 130):
         _assert_claims_match_references(
-            p, precision, size, range(1, 6),
+            p, precision, per_depth, pairs, range(1, 6),
             sets=(IndexSet(3, 0), IndexSet(2, 1)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampled_claims_match_fraction_references_at_full_size(p):
-    _assert_claims_match_references(p, DEFAULT_PRECISION, 10_000, [100 + p],
-                                    m_maxes=(10,))
+    _assert_claims_match_references(p, DEFAULT_PRECISION, 32, 10_000,
+                                    [100 + p], m_maxes=(10,))
 
 
 def test_sampled_claims_report_the_reference_failure(monkeypatch):
@@ -1230,13 +1265,39 @@ def test_sampled_claims_report_the_reference_failure(monkeypatch):
     g = thm34ii_gN(IndexSet(3, 0), p, n)
     got = g.run_claim("contraction", seed=7)
     assert not got.passed and set(got.details) == {"x", "y"}
-    assert got == _contraction_fraction(g.function, p, n, 10_000, 7)
+    assert got == _contraction_fraction(g.function, p, n, 32, 7)
     monkeypatch.setattr(zoo, "_first_zero_pair", one_pair_early)
     f = thm2_f(p, n)
     got = f.run_claim("continuity-modulus", seed=7)
     assert not got.passed and set(got.details) == {"m", "x"}
     assert got == _continuity_modulus_fraction(f.function, p, n, 10_000, 10,
                                                7)
+
+
+def _deep_digit_mutant(spread_table, first):
+    """``_spread_table`` with the weight p**2b of each chunk that starts at
+    digit ``first`` or beyond cut to p**(2b - 1), or to 0 where b = 0."""
+
+    def mutant(N, p, low, hi):
+        limb, limb_out, scale, chunk, limbs = spread_table(N, p, low, hi)
+        return limb, limb_out, scale, chunk, tuple(
+            tuple((skip, t, w2 // p if a + ord_int(w2, p) // 2 >= first
+                   else w2) for skip, t, w2 in chunks)
+            for a, chunks in zip(count(low, ord_int(limb, p)), limbs))
+
+    return mutant
+
+
+@pytest.mark.parametrize("first", [16, 48])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_contraction_fails_on_a_kernel_broken_past_a_deep_digit(
+        monkeypatch, p, first):
+    # at its default size the claim checks 32 pairs at each depth up to 63;
+    # 10 000 uniform pairs reach about depth 11, and passed both mutants
+    monkeypatch.setattr(zoo, "_spread_table",
+                        _deep_digit_mutant(zoo._spread_table, first))
+    got = build_entry("thm34ii", p).run_claim("contraction")
+    assert not got.passed and set(got.details) == {"x", "y"}
 
 
 def test_claims_refuse_bad_sizes():
