@@ -81,27 +81,34 @@ def cmd_verify(args) -> int:
     params = inspect.signature(claim).parameters if claim is not None else {}
     if "seed" in params:
         kwargs["seed"] = args.seed
-    if args.limit is not None and claim is not None:
-        key = next((k for k in ("limit", "n_limit") if k in params), None)
+    for opt, value, keys in (("--limit", args.limit, ("limit", "n_limit")),
+                             ("--samples", args.samples, ("samples",)),
+                             ("--k", args.k, ())):
+        if value is None or claim is None:
+            continue
+        key = next((k for k in keys if k in params), None)
         if key is None:
             raise DomainError(f"claim {args.claim!r} of {entry.name} takes "
-                              "no --limit")
-        if args.limit < 0:
-            raise DomainError("--limit must be nonnegative")
-        kwargs[key] = args.limit
+                              f"no {opt}")
+        if value < 0:
+            raise DomainError(f"{opt} must be nonnegative")
+        kwargs[key] = value
     result = entry.run_claim(args.claim, **kwargs)
     _emit_json(args, entry=entry.name, **result.to_json_dict())
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
 def _verify_haar(args) -> int:
-    p, seed, n = args.prime, args.seed, args.samples
+    if args.limit is not None:
+        raise DomainError("haar claims take no --limit")
+    n = 100_000 if args.samples is None else args.samples
+    k = 10 if args.k is None else args.k
     if args.claim == "Y0":
-        reports = [estimate_Y0(p, n, seed)]
+        reports = [estimate_Y0(args.prime, n, args.seed)]
     elif args.claim == "E-prefix":
-        reports = estimate_E_prefix_series(p, args.k, n, seed)
+        reports = estimate_E_prefix_series(args.prime, k, n, args.seed)
     elif args.claim == "slln":
-        reports = [slln_report(p, args.k, n, seed)]
+        reports = [slln_report(args.prime, k, n, args.seed)]
     else:
         raise DomainError(
             f"unknown haar claim {args.claim!r}; have {sorted(HAAR_CLAIMS)}")
@@ -194,20 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("entry")
         sp.add_argument("--set", type=_parse_set, default=(3, 0),
                         help='index set as "k,bit" in the periodic family')
-        sp.add_argument("--beta", default=None,
-                        help="exponent for the analytic entries")
 
     sp = sub.add_parser("eval", help="evaluate an entry at a point")
     add_entry_opts(sp)
+    sp.add_argument("--beta", help="exponent for the analytic entries")
     sp.add_argument("x", help='point, e.g. "7", "1/3", "p^2"')
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("verify", help="run a registered claim")
     add_entry_opts(sp)
+    sp.add_argument("--beta", help="exponent for the analytic entries")
     sp.add_argument("claim")
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("table", help="emit a coefficient criterion table")

@@ -38,9 +38,10 @@ def criterion_products(rows: Iterable[tuple[int, int]], alpha: int,
 def schedule_exponent(k: int, p: int) -> int:
     """The coefficient-decay schedule m_k = floor(ln(k ln k)/ln p).
 
-    Undefined at k = 1; m_1 = 1 by convention, and the sequence is made
-    nondecreasing by a cumulative max (k may be huge, so logs are taken of
-    the integer directly).
+    Undefined at k = 1; m_1 = 1 by convention (k may be huge, so logs are
+    taken of the integer directly).  Nondecreasing along the centers of
+    ``zoo.lip_fN``: each is at least p/(p-1) times the last, so ln(k ln k)
+    gains more than ln(p/(p-1)), far above the rounding of ``math.log``.
     """
     if k < 1:
         raise DomainError("schedule index must be >= 1")

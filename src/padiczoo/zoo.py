@@ -349,17 +349,16 @@ def lip_coefficient_rows(N: IndexSet, p: int,
 
     sigma(n) = u * p**j (``_sigma_parts``) keeps p**j as a running power of
     p, multiplied by p once per wrap (u = 1), so no row computes a fresh
-    power.  The schedule exponent is made nondecreasing along sigma by a
-    cumulative max of ``schedule_exponent``.
+    power.  m_sigma(n) is ``schedule_exponent(sigma(n), p)``, which never
+    decreases along sigma (see there).
     """
-    power, m_running = 1, 0
+    power = 1
     for n in range(n_limit + 1):
         u, _ = _sigma_parts(n, p)
         if u == 1 and n:
             power *= p
         k = u * power
-        m_running = max(m_running, schedule_exponent(k, p))
-        yield n, k, m_running, n in N
+        yield n, k, schedule_exponent(k, p), n in N
 
 
 def _lip_products(N: IndexSet, p: int, n_limit: int,
@@ -393,11 +392,10 @@ def lip_fN(N: IndexSet, p: int,
                 "ball membership needs a resolved leading digit")
         if x.valuation < 0:
             raise DomainError("ball system lives on Z_p")
-        n = x.valuation * max(p - 1, 1) + x.unit % p - 1
-        if n not in N:
+        u = x.unit % p
+        if x.valuation * max(p - 1, 1) + u - 1 not in N:
             return PadicNumber.zero(p, precision)
-        for _, _, m, _ in lip_coefficient_rows(N, p, n):
-            pass  # m_sigma(n) is the exponent of the last row
+        m = schedule_exponent(u * p ** x.valuation, p)
         return PadicNumber.from_rational(p ** m, 1, p, precision + m)
 
     fn = PadicFunction(evaluate, domain_tag="Zp")
@@ -516,33 +514,6 @@ def thm16_fbeta(beta: PadicNumber, p: int,
     })
 
 
-def check_nonconstant_combination(gammas: Sequence[PadicNumber],
-                                  alphas: Sequence[PadicNumber],
-                                  search_depth: int,
-                                  precision: int = DEFAULT_PRECISION
-                                  ) -> Optional[PadicNumber]:
-    """Search for y in pZ_p with sum gamma_i (1+y)**alpha_i different from
-    its value at y = 0.  Returns the first witness in the search order, or
-    None when the budget is exhausted (inconclusive, never a disproof)."""
-    if len(gammas) != len(alphas):
-        raise DomainError("coefficient and exponent lists must match")
-    if not gammas:
-        raise DomainError("need at least one term")
-    p = gammas[0].prime
-    for i, a in enumerate(alphas):
-        for b in alphas[i + 1:]:
-            if (a - b).is_zero_like:
-                raise DomainError(
-                    "exponents must be pairwise distinct at working precision")
-    base = _sum_of_powers(gammas, alphas, PadicNumber.zero(p, precision),
-                          precision)
-    for y in _pzp_patterns(p, search_depth, precision):
-        val = _sum_of_powers(gammas, alphas, y, precision)
-        if not (val - base).is_zero_like:
-            return y
-    return None
-
-
 def _sum_of_powers(gammas, alphas, y: PadicNumber,
                    precision: int) -> PadicNumber:
     p = y.prime
@@ -656,8 +627,11 @@ def _shell_derivative(monomials, betas, p,
         k1 = degrees[0]
         gammas, alphas = groups[k1]
         y1 = PadicNumber.zero(p, precision)
-        if _sum_of_powers(gammas, alphas, y1, precision).is_zero_like:
-            y1 = check_nonconstant_combination(gammas, alphas, 2, precision)
+        base = _sum_of_powers(gammas, alphas, y1, precision)
+        if base.is_zero_like:  # the first y in pZ_p moving the group
+            y1 = next((y for y in _pzp_patterns(p, 2, precision)
+                       if not (_sum_of_powers(gammas, alphas, y, precision)
+                               - base).is_zero_like), None)
         if y1 is None:
             return False, {"reason": "no nonvanishing witness found"}
         c = _sum_of_powers(gammas, alphas, y1, precision).abs_value()
@@ -873,10 +847,8 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return PadicNumber.zero(p, precision)
         if not x.is_zero_like and x.valuation < 0:
             raise DomainError("defined on Z_p only")
-        if x.is_bounded_zero:
-            if x.abs_precision >= 2:
-                return PadicNumber.zero(p, precision)
-            raise InsufficientPrecision("first digit pair unknown")
+        if x.is_bounded_zero and x.abs_precision >= 2:
+            return PadicNumber.zero(p, precision)
         pairs = x.abs_precision // 2
         if pairs < 1:
             raise InsufficientPrecision("first digit pair unknown")

@@ -312,11 +312,61 @@ def test_verify_forwards_seed(capsys, monkeypatch):
 def test_verify_limit_refused_where_claim_has_none(capsys):
     for entry, claim in (("thm2_f", "deviation"), ("thm34ii", "contraction"),
                          ("thm16", "zero-on-pzp"),
-                         ("prop26", "derivative-zero")):
+                         ("prop26", "derivative-zero"), ("haar", "Y0")):
         code, out, err = run(capsys, "--prime", "3", "verify", entry, claim,
                              "--limit", "3")
         assert code == 2 and out == ""
         assert "--limit" in err and "Traceback" not in err
+
+
+GALLERY_CLAIMS = [(name, claim, set(inspect.signature(fn).parameters))
+                  for name in ENTRY_NAMES
+                  for claim, fn in sorted(build_entry(name, 3).claims.items())]
+
+
+def test_verify_samples_forwarded_where_claim_takes_it(capsys):
+    # and refused when negative, as a negative --limit is
+    sampled = [(e, c) for e, c, params in GALLERY_CLAIMS if "samples" in params]
+    assert {("thm16", "zero-on-pzp"), ("prop26", "derivative-zero")} \
+        <= set(sampled)
+    for entry, claim in sampled:
+        code, out, _ = run(capsys, "--prime", "3", "verify", entry, claim,
+                           "--samples", "7")
+        assert code == 0
+        assert json.loads(out)["details"]["samples"] == 7
+        code, out, err = run(capsys, "--prime", "3", "verify", entry, claim,
+                             "--samples", "-1")
+        assert (code, out) == (2, "") and err.startswith("error: --samples")
+
+
+@pytest.mark.parametrize("entry,claim,opt", [
+    (entry, claim, opt) for entry, claim, params in GALLERY_CLAIMS
+    for opt in ("--samples", "--k") if opt[2:] not in params])
+def test_verify_refuses_option_the_claim_takes_no_value_for(capsys, entry,
+                                                            claim, opt):
+    code, out, err = run(capsys, "--prime", "3", "verify", entry, claim,
+                         opt, "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and opt in err
+
+
+def test_verify_haar_keeps_its_defaults(capsys, monkeypatch):
+    # without --samples and --k, verify haar draws 100000 samples, k = 10
+    import padiczoo.cli as cli
+    calls, real = [], cli.estimate_E_prefix_series
+
+    def spy(p, k, n, seed):
+        calls.append((k, n))
+        return real(p, k, 300, seed)
+    monkeypatch.setattr(cli, "estimate_E_prefix_series", spy)
+    code, _, _ = run(capsys, "--prime", "3", "verify", "haar", "E-prefix")
+    assert code in (0, 1) and calls == [(10, 100_000)]
+
+
+def test_table_takes_no_beta(capsys):
+    # table reads only the index set; --beta is a usage error, not ignored
+    code, out, err = run(capsys, "table", "lip_fN", "--beta", "1/0")
+    assert code == 2 and out == "" and "--beta" in err
 
 
 def test_verify_limit_forwarded_under_claim_parameter(capsys):
@@ -331,11 +381,8 @@ def test_verify_limit_forwarded_under_claim_parameter(capsys):
     assert json.loads(out)["details"]["limit"] == 2
 
 
-LIMITED_CLAIMS = [
-    (name, claim)
-    for name in ENTRY_NAMES
-    for claim, fn in sorted(build_entry(name, 3).claims.items())
-    if {"limit", "n_limit"} & set(inspect.signature(fn).parameters)]
+LIMITED_CLAIMS = [(name, claim) for name, claim, params in GALLERY_CLAIMS
+                  if {"limit", "n_limit"} & params]
 
 
 @pytest.mark.parametrize("entry,claim", LIMITED_CLAIMS)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber
@@ -101,9 +102,19 @@ def test_schedule_exponent():
     assert schedule_exponent(2, 2) == 1
     with pytest.raises(DomainError):
         schedule_exponent(0, 2)
-    # raw values may dip, the consumer applies a cumulative max; here just
-    # check positivity over a range
     assert all(schedule_exponent(k, 3) >= 1 for k in range(1, 200))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(0, 100_000))
+def test_schedule_exponent_never_decreases_along_sigma(p, n):
+    # lip_fN reads m_sigma(n) as schedule_exponent(sigma(n)) with no
+    # cumulative max: sigma(n + 1) >= p/(p-1) sigma(n), a step in
+    # ln(k ln k) far above the rounding of math.log
+    q = max(p - 1, 1)
+
+    def sigma(i):
+        return (i % q + 1) * p ** (i // q)
+    assert schedule_exponent(sigma(n), p) <= schedule_exponent(sigma(n + 1), p)
 
 
 def test_criterion_products_are_exact():

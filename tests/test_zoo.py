@@ -23,7 +23,6 @@ from padiczoo.zoo import (
     Monomial,
     ZooEntry,
     build_entry,
-    check_nonconstant_combination,
     cor15_Fbeta,
     cor15_gbeta,
     depth_pairs,
@@ -190,8 +189,9 @@ def test_lip_rows_match_the_closed_form(p):
 
 
 def test_lip_eval_reads_the_rows():
-    # evaluate takes m from the rows: the value at sigma(n) is p**m_sigma(n)
-    # for the odd members n of N, and 0 at the even n
+    # evaluate reads m from the point's ball, the rows from sigma(n): the
+    # value at sigma(n) is p**m_sigma(n) of the rows for the odd members n
+    # of N, and 0 at the even n
     p = 2
     N = IndexSet(1, 0)
     e = lip_fN(N, p, 32)
@@ -201,6 +201,19 @@ def test_lip_eval_reads_the_rows():
             assert member == (n % 2 == 1)
             want = Fraction(p) ** -m if member else 0
             assert (0 if v.is_exact_zero else v.abs_value()) == want, n
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_lip_eval_deep_ball_matches_reference_rows(p):
+    # the reference keeps the cumulative max of the schedule, so an m that
+    # evaluate reads at a deep ball matches it only if no row before
+    # decreased
+    N = IndexSet(1, 0)
+    e = lip_fN(N, p, 32)
+    for n, k, m, norm in list(reference_lip_rows(N, p, 2001))[1998:]:
+        v = e.function(PadicNumber.from_int(k, p, n + 32))
+        assert norm == (Fraction(p) ** -m if n % 2 else 0)
+        assert (0 if v.is_exact_zero else v.abs_value()) == norm, n
 
 
 def test_lip_zero_and_off_ball():
@@ -440,25 +453,13 @@ def _pzp_patterns_by_digits(p: int, depth: int, precision: int):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_pzp_patterns_match_digit_list_build(p):
-    # the same points, field by field, in the same order: the search in
-    # check_nonconstant_combination returns the same first witness
+    # the same points, field by field, in the same order: the witness
+    # search of the derivative-norm-growth claim returns the same first
+    # witness
     for depth in (1, 2, 3):
         for precision in (1, 8, 64):
             got = list(zoo._pzp_patterns(p, depth, precision))
             assert got == list(_pzp_patterns_by_digits(p, depth, precision))
-
-
-def test_check_nonconstant_combination():
-    p = 3
-    one = PadicNumber.one(p)
-    b3 = PadicNumber.from_int(3, p)
-    # gamma (1+y)^3 - gamma is nonconstant: witness must exist at depth 2
-    y = check_nonconstant_combination([one], [b3], search_depth=2)
-    assert y is not None and not y.is_zero_like
-    with pytest.raises(DomainError):
-        check_nonconstant_combination([one, one], [b3, b3], 1)
-    with pytest.raises(DomainError):
-        check_nonconstant_combination([one], [b3, b3], 1)
 
 
 def test_poly_combine_validation():
