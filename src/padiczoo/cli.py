@@ -192,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prime", type=int, default=2)
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", dest="fmt", default="text",
+    # unset by default: each command names the formats it prints, and
+    # main refuses an explicit other one
+    parser.add_argument("--format", dest="fmt", default=None,
                         choices=("text", "json"))
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_entry_opts(sp)
     sp.add_argument("--beta", help="exponent for the analytic entries")
     sp.add_argument("x", help='point, e.g. "7", "1/3", "p^2"')
-    sp.set_defaults(fn=cmd_eval)
+    sp.set_defaults(fn=cmd_eval, formats=("text", "json"))
 
     sp = sub.add_parser("verify", help="run a registered claim")
     add_entry_opts(sp)
@@ -215,21 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, formats=("json",))
 
     sp = sub.add_parser("table", help="emit a coefficient criterion table")
     add_entry_opts(sp)
     sp.add_argument("--alpha", type=int, default=2)
     sp.add_argument("--n-max", type=int, default=100)
-    sp.set_defaults(fn=cmd_table)
+    sp.set_defaults(fn=cmd_table, formats=("text",))
 
     sp = sub.add_parser("haar", help="Monte Carlo digit-pair statistics")
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--k", type=int, default=10)
-    sp.set_defaults(fn=cmd_haar)
+    sp.set_defaults(fn=cmd_haar, formats=("json",))
 
     sp = sub.add_parser("list", help="list entries and their claims")
-    sp.set_defaults(fn=cmd_list)
+    sp.set_defaults(fn=cmd_list, formats=("text",))
     return parser
 
 
@@ -244,8 +246,9 @@ def main(argv: Optional[list] = None) -> int:
             raise DomainError(f"{args.prime!r} is not a prime number")
         if args.precision < 8:
             raise DomainError("precision must be at least 8 digits")
-        if args.fmt == "json" and args.command in ("list", "table"):
-            raise DomainError(f"{args.command} has no JSON output")
+        if args.fmt not in (None, *args.formats):
+            name = "JSON" if args.fmt == "json" else args.fmt
+            raise DomainError(f"{args.command} has no {name} output")
         return args.fn(args)
     except InsufficientPrecision as exc:
         print(f"insufficient precision: {exc} "

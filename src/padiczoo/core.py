@@ -173,8 +173,6 @@ class PadicNumber:
     @property
     def digits(self) -> tuple:
         """Known digits from the valuation upward."""
-        if self.unit == 0:
-            return ()
         rel = self.abs_precision - self.valuation
         io = _digit_io(self.prime)
         ds = _chunks(self.unit, io, rel)
@@ -184,8 +182,6 @@ class PadicNumber:
 
     def digit(self, i: int) -> int:
         """Base-p digit at position ``i`` (coefficient of p**i)."""
-        if self.is_exact_zero:
-            return 0
         if i >= self.abs_precision:
             if self.exact is not None:
                 return self.at_precision(i + 1).digit(i)
@@ -197,8 +193,6 @@ class PadicNumber:
 
     def residue(self, k: int) -> int:
         """The value modulo p**k as an integer in [0, p**k); needs valuation >= 0."""
-        if self.is_exact_zero:
-            return 0
         if k > self.abs_precision:
             if self.exact is not None:
                 return self.at_precision(k).residue(k)
@@ -219,15 +213,11 @@ class PadicNumber:
         if n > self.abs_precision:
             raise InsufficientPrecision(
                 f"cannot refine precision {self.abs_precision} to {n}")
-        if self.unit == 0:
-            return PadicNumber.bounded_zero(self.prime, n)
         return _make(self.prime, self.valuation, self.unit, n)
 
     def truncated(self, n: int) -> "PadicNumber":
         """Forgetful truncation: drops the exact rational, keeps n digits."""
         n = min(n, self.abs_precision)
-        if self.unit == 0:
-            return PadicNumber.bounded_zero(self.prime, n)
         return _make(self.prime, self.valuation, self.unit, n)
 
     # -- absolute value ------------------------------------------------------
@@ -242,20 +232,13 @@ class PadicNumber:
             f"all digits below p^{self.abs_precision} vanish; "
             "the absolute value is unresolved")
 
-    def valuation_bound(self) -> Optional[int]:
-        """The v with ``norm_upper() == p**-v``: the valuation of a value
-        with a nonzero digit, the precision of a bounded zero, and None for
-        an exact zero."""
-        if self.unit != 0:
-            return self.valuation
-        if self.is_exact_zero:
-            return None
-        return self.abs_precision
-
     def norm_upper(self) -> Fraction:
-        """An upper bound for |x|_p valid in every state."""
-        v = self.valuation_bound()
-        return Fraction(0) if v is None else Fraction(self.prime) ** (-v)
+        """An upper bound for |x|_p valid in every state: 0 for an exact
+        zero, else p**-valuation, which is |x|_p for a value with a nonzero
+        digit and p**-abs_precision for a bounded zero."""
+        if self.is_exact_zero:
+            return Fraction(0)
+        return Fraction(self.prime) ** -self.valuation
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -265,8 +248,6 @@ class PadicNumber:
                 f"prime mismatch: {self.prime} vs {other.prime}")
 
     def __neg__(self) -> "PadicNumber":
-        if self.unit == 0:
-            return self
         ex = -self.exact if self.exact is not None else None
         rel = self.abs_precision - self.valuation
         return _make(self.prime, self.valuation,
@@ -290,8 +271,6 @@ class PadicNumber:
         n = min(self.abs_precision, other.abs_precision)
         if self.is_bounded_zero or other.is_bounded_zero:
             keep, s = (other, sign) if self.is_bounded_zero else (self, 1)
-            if keep.unit == 0:
-                return PadicNumber.bounded_zero(p, n)
             return _make(p, keep.valuation, s * keep.unit, n)
         v0 = min(self.valuation, other.valuation)
         if n <= v0:
@@ -448,9 +427,11 @@ def _chunks(u: int, io: _DigitIO, rel: int) -> list:
 
 def _make(p: int, v: int, unit: int, abs_precision: int,
           exact: Optional[Fraction] = None) -> PadicNumber:
-    """Normalize (strip p factors into the valuation, reduce the unit).  A
-    value with no nonzero digit below ``abs_precision`` is a bounded zero,
-    or, when exact, widened by ``_from_exact``."""
+    """Normalize (strip p factors into the valuation, reduce the unit).
+    The one place where a zero unit becomes a zero state: with no nonzero
+    digit below ``abs_precision`` the value is a bounded zero, or, when
+    exact, ``_from_exact`` re-expands it (an exact zero for the rational 0);
+    either way its valuation is ``abs_precision``."""
     rel = abs_precision - v
     unit = unit % p ** rel if rel > 0 else 0
     if unit == 0:

@@ -77,8 +77,17 @@ def _expand(x: PadicNumber, precision: int) -> PadicNumber:
 
 
 def _zero_derivative(p: int, precision: int, domain_tag: str) -> PadicFunction:
-    return PadicFunction(lambda x: PadicNumber.zero(p, precision),
-                         domain_tag=domain_tag)
+    """The derivative 0; on Z_p it refuses, as its function does, a point
+    of valuation < 0 and a bounded zero mod p**k with k < 0."""
+
+    def derivative(x: PadicNumber) -> PadicNumber:
+        if domain_tag == "Zp" and x.valuation < 0 and not x.is_exact_zero:
+            if x.is_bounded_zero:
+                raise InsufficientPrecision("membership in Z_p unknown")
+            raise DomainError("defined on Z_p only")
+        return PadicNumber.zero(p, precision)
+
+    return PadicFunction(derivative, domain_tag=domain_tag)
 
 
 def _upto(indices: Iterable[int], limit: int) -> Iterator[int]:
@@ -164,8 +173,6 @@ def thm34i_fN(N: IndexSet, p: int,
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
-        if x.is_exact_zero:
-            return PadicNumber.zero(p, 2 * precision)
         if x.is_bounded_zero:
             # any ball x could lie in has index >= abs_precision
             return PadicNumber.bounded_zero(p, 2 * max(1, x.abs_precision))
@@ -289,14 +296,10 @@ def thm34ii_gN(N: IndexSet, p: int,
         hi = x.abs_precision
         if hi <= 0:
             raise InsufficientPrecision("no nonnegative digits known")
-        if x.is_bounded_zero:
-            return PadicNumber.bounded_zero(p, 2 * hi)
         # the digits from position low = max(0, v) upward
         low = max(0, x.valuation)
         total = _spread(x.unit // p ** (low - x.valuation),
                         _spread_table(N, p, low, hi))
-        if total == 0:
-            return PadicNumber.bounded_zero(p, 2 * hi)
         return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
     fn = PadicFunction(evaluate, domain_tag="Qp")
@@ -847,8 +850,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return PadicNumber.zero(p, precision)
         if not x.is_zero_like and x.valuation < 0:
             raise DomainError("defined on Z_p only")
-        if x.is_bounded_zero and x.abs_precision >= 2:
-            return PadicNumber.zero(p, precision)
         pairs = x.abs_precision // 2
         if pairs < 1:
             raise InsufficientPrecision("first digit pair unknown")
@@ -857,8 +858,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         if i is None:
             # no zero pair among the known pairs: agrees with x so far
             return x.truncated(2 * pairs)
-        if i == 0:
-            return PadicNumber.zero(p, precision)
         return PadicNumber.from_int(r % p ** (2 * i), p, precision)
 
     def deviation_witness(x: PadicNumber, limit: int) -> Iterator:
@@ -942,8 +941,6 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
-        if x.is_exact_zero:
-            return PadicNumber.zero(p, precision)
         if x.is_bounded_zero:
             if x.abs_precision < 0:
                 # its refinements include points of valuation < 0

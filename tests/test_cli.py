@@ -84,13 +84,18 @@ def test_format_has_no_csv_choice(capsys):
     assert code == 2 and out == "" and "invalid choice" in err
 
 
-@pytest.mark.parametrize("command", [["list"], ["table", "lip_fN"]])
-def test_format_json_is_refused_where_there_is_no_json(tmp_path, capsys,
-                                                       command):
-    # list prints text and table prints CSV: neither passes them off as JSON
-    target = tmp_path / "out.json"
-    assert run(capsys, "--format", "json", "--out", str(target),
-               *command) == (2, "", f"error: {command[0]} has no JSON "
+@pytest.mark.parametrize("fmt, name, command", [
+    ("json", "JSON", ["list"]), ("json", "JSON", ["table", "lip_fN"]),
+    ("text", "text", ["verify", "thm34i", "strict-fail"]),
+    ("text", "text", ["haar", "--samples", "10"])],
+    ids=["list-json", "table-json", "verify-text", "haar-text"])
+def test_format_is_refused_where_the_command_cannot_print_it(
+        tmp_path, capsys, fmt, name, command):
+    # list prints text and table prints CSV, verify and haar print JSON:
+    # none passes its output off as the other format
+    target = tmp_path / "out"
+    assert run(capsys, "--format", fmt, "--out", str(target),
+               *command) == (2, "", f"error: {command[0]} has no {name} "
                                     "output\n")
     assert not target.exists()
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,11 @@ def test_zero_states():
     # exact zero absorbs addition exactly
     x = PadicNumber.from_int(7, 5)
     assert (x + z).exact == x.exact
+    # the general paths answer the zero states: an exact zero's residue is
+    # 0 below and past its precision, a bounded zero presented at fewer
+    # digits is the bounded zero there
+    assert z.residue(3) == 0 and PadicNumber.zero(5, 2).residue(7) == 0
+    assert _state(b.at_precision(4)) == (4, 0, 4, None)
 
 
 def test_value_below_the_window():
@@ -518,7 +524,7 @@ def test_pow_one_plus_matches_binomial_series(p, n, data):
 
 # --- integer valuations, integer exact values, one subtraction -----------------
 
-def test_valuation_bound_is_the_exponent_of_norm_upper():
+def test_norm_upper_is_p_to_the_minus_valuation():
     p = 5
     for x, v, norm in (
             (PadicNumber.zero(p), None, 0),
@@ -529,10 +535,9 @@ def test_valuation_bound_is_the_exponent_of_norm_upper():
             (PadicNumber.from_rational(2, 125, p), -3, 125),
             (PadicNumber.from_unit(p, 2, 4, 9), 2, Fraction(1, 25)),
             (PadicNumber.from_unit(p, -1, 3, 1), -1, 5)):
-        assert x.valuation_bound() == v, x
         assert x.norm_upper() == norm, x
         if v is not None:
-            assert x.norm_upper() == Fraction(p) ** -v
+            assert x.valuation == v and x.norm_upper() == Fraction(p) ** -v
 
 
 def _from_exact_general(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
@@ -598,9 +603,19 @@ def test_sub_is_the_sum_with_the_negation(p, data):
 
     def outcome(f):
         try:
-            return _state(f())
+            r = f()
         except InsufficientPrecision:
             return InsufficientPrecision
+        # the zero states' one invariant, which the ops' general paths
+        # rely on: a zero-like value's valuation is its precision
+        assert r.unit != 0 or r.valuation == r.abs_precision, _state(r)
+        return _state(r)
 
     assert outcome(lambda: x - y) == outcome(lambda: x + (-y))
     assert outcome(lambda: y - x) == outcome(lambda: y + (-x))
+    op = data.draw(st.sampled_from([operator.mul, operator.truediv]),
+                   label="op")
+    try:
+        outcome(lambda: op(x, y))
+    except DomainError:
+        assert op is operator.truediv and y.is_exact_zero

@@ -231,6 +231,23 @@ def test_lip_zero_and_off_ball():
                                         and same.is_exact_zero)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lip_derivative_refuses_where_lip_fN_refuses_off_z_p(p):
+    # the zero derivative lives on Z_p with its function: a point of
+    # valuation < 0 lies off it, and a bounded zero mod p**k with k < 0 may
+    e = build_entry("lip_fN", p)
+    for x, error in ((PadicNumber.from_rational(1, p, p), DomainError),
+                     (PadicNumber.from_unit(p, -2, 1, 4), DomainError),
+                     (PadicNumber.bounded_zero(p, -2), InsufficientPrecision),
+                     (PadicNumber.bounded_zero(p, -1), InsufficientPrecision)):
+        for fn in (e.function, e.derivative):
+            with pytest.raises(error):
+                fn(x)
+    for x in (PadicNumber.zero(p, -2), PadicNumber.bounded_zero(p, 0),
+              PadicNumber.from_int(p, p), PadicNumber.from_unit(p, 0, 1, 1)):
+        assert e.derivative(x) == PadicNumber.zero(p)
+
+
 def _lip_fN_by_ball(N, p, precision):
     """lip_fN's evaluate before it read the ball from the leading digit:
     sigma and its inverse in closed form, then the precision and residue
@@ -1018,6 +1035,12 @@ def test_kernels_match_per_digit_reference(p, n):
             lambda x: _thm34ii_by_digit(N, p, n, x), x), x.render()
         assert _outcome(f, x) == _outcome(
             lambda x: _thm2_f_by_digit(p, n, x), x), x.render()
+    # an exact zero reads no digit: thm34i's value is the exact zero known
+    # mod p**2n, thm2_g's the one known mod p**n, below and above n
+    for zero in (PadicNumber.zero(p, 1), PadicNumber.zero(p, 3 * n)):
+        assert _outcome(thm34i_fN(N, p, n).function, zero) \
+            == (2 * n, 0, 2 * n, 0)
+        assert _outcome(thm2_g(p, n).function, zero) == (n, 0, n, 0)
 
 
 def _limb_and_chunk(p: int) -> tuple[int, int]:
