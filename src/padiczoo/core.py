@@ -187,7 +187,7 @@ class PadicNumber:
                 return self.at_precision(i + 1).digit(i)
             raise InsufficientPrecision(
                 f"digit {i} unknown at precision {self.abs_precision}")
-        if self.unit == 0 or i < self.valuation:
+        if i < self.valuation:
             return 0
         return (self.unit // self.prime ** (i - self.valuation)) % self.prime
 
@@ -288,11 +288,6 @@ class PadicNumber:
         p = self.prime
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNumber.zero(p, min(self.abs_precision, other.abs_precision))
-        if self.is_bounded_zero or other.is_bounded_zero:
-            if self.is_bounded_zero and other.is_bounded_zero:
-                return PadicNumber.bounded_zero(p, self.abs_precision + other.abs_precision)
-            z, w = (self, other) if self.is_bounded_zero else (other, self)
-            return PadicNumber.bounded_zero(p, z.abs_precision + w.valuation)
         rel = min(self.abs_precision - self.valuation,
                   other.abs_precision - other.valuation)
         v = self.valuation + other.valuation
@@ -336,8 +331,6 @@ class PadicNumber:
             return PadicNumber.one(p, self.abs_precision)
         if self.is_exact_zero:
             return self
-        if self.is_bounded_zero:
-            return PadicNumber.bounded_zero(p, k * self.abs_precision)
         rel = self.abs_precision - self.valuation
         ex = self.exact ** k if self.exact is not None else None
         return _make(p, k * self.valuation, pow(self.unit, k, p ** rel),
@@ -348,8 +341,6 @@ class PadicNumber:
     def agrees_with(self, other: "PadicNumber") -> bool:
         """Equality modulo the shared precision."""
         d = self - other
-        if d.is_zero_like:
-            return True
         return d.valuation >= min(self.abs_precision, other.abs_precision)
 
     # -- rendering -------------------------------------------------------------

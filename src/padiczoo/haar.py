@@ -90,8 +90,6 @@ class Stream:
            min_valuation: int = 0) -> PadicNumber:
         """A point of p**min_valuation Z_p known mod p**precision."""
         unit = self.below(p ** (precision - min_valuation))
-        if unit == 0:
-            return PadicNumber.bounded_zero(p, precision)
         return PadicNumber.from_unit(p, min_valuation, unit, precision)
 
     def nonzero(self, p: int, precision: int,

@@ -25,13 +25,18 @@ class PadicFunction:
     """An evaluable function on Q_p or Z_p.
 
     Evaluators must be deterministic in the digits they consume and must
-    refine (never contradict) lower-precision outputs.
+    refine (never contradict) lower-precision outputs.  On Z_p the call
+    refuses a point of valuation < 0, and a bounded zero mod p**k, k < 0.
     """
 
     evaluator: Callable[[PadicNumber], PadicNumber]
     domain_tag: str = "Qp"
 
     def __call__(self, x: PadicNumber) -> PadicNumber:
+        if self.domain_tag == "Zp" and x.valuation < 0 and not x.is_exact_zero:
+            if x.is_bounded_zero:  # some refinements lie off Z_p
+                raise InsufficientPrecision("membership in Z_p unknown")
+            raise DomainError("defined on Z_p only")
         return self.evaluator(x)
 
 

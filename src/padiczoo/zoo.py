@@ -77,17 +77,8 @@ def _expand(x: PadicNumber, precision: int) -> PadicNumber:
 
 
 def _zero_derivative(p: int, precision: int, domain_tag: str) -> PadicFunction:
-    """The derivative 0; on Z_p it refuses, as its function does, a point
-    of valuation < 0 and a bounded zero mod p**k with k < 0."""
-
-    def derivative(x: PadicNumber) -> PadicNumber:
-        if domain_tag == "Zp" and x.valuation < 0 and not x.is_exact_zero:
-            if x.is_bounded_zero:
-                raise InsufficientPrecision("membership in Z_p unknown")
-            raise DomainError("defined on Z_p only")
-        return PadicNumber.zero(p, precision)
-
-    return PadicFunction(derivative, domain_tag=domain_tag)
+    """The derivative 0, on its function's domain."""
+    return PadicFunction(lambda x: PadicNumber.zero(p, precision), domain_tag)
 
 
 def _upto(indices: Iterable[int], limit: int) -> Iterator[int]:
@@ -393,8 +384,6 @@ def lip_fN(N: IndexSet, p: int,
         if x.is_bounded_zero:
             raise InsufficientPrecision(
                 "ball membership needs a resolved leading digit")
-        if x.valuation < 0:
-            raise DomainError("ball system lives on Z_p")
         u = x.unit % p
         if x.valuation * max(p - 1, 1) + u - 1 not in N:
             return PadicNumber.zero(p, precision)
@@ -574,10 +563,12 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
             and monomials[0].coefficient.exact == 1:
         return entries[monomials[0].exponents.index(1)]
     p = entries[0].prime
+    # the entries some monomial raises to a power, None for the others
+    used = [e if any(m.exponents[i] for m in monomials) else None
+            for i, e in enumerate(entries)]
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        vals = [e.function(x) if any(m.exponents[i] for m in monomials)
-                else None for i, e in enumerate(entries)]
+        vals = [e.function(x) if e else None for e in used]
         total = PadicNumber.zero(p, precision)
         for m in monomials:
             # an exact-1 coefficient is no factor: its product would cut
@@ -594,7 +585,8 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
     betas = [e.beta for e in entries]
     if all(b is not None for b in betas):
         derivative, claims = _shell_derivative(monomials, betas, p, precision)
-    fn = PadicFunction(evaluate, domain_tag=entries[0].function.domain_tag)
+    zp = any(e and e.function.domain_tag == "Zp" for e in used)
+    fn = PadicFunction(evaluate, domain_tag="Zp" if zp else "Qp")
     return ZooEntry("poly", p, fn, derivative, claims=claims)
 
 
@@ -788,8 +780,10 @@ def prop26_fN(N: Optional[IndexSet], p: int,
         return PadicNumber.zero(p, precision)
 
     def derivative(x: PadicNumber) -> PadicNumber:
-        if x.is_zero_like:
+        if x.is_exact_zero:
             raise DomainError("not differentiable at 0")
+        if x.is_bounded_zero:
+            raise InsufficientPrecision("the point may be 0")
         return PadicNumber.zero(p, precision)
 
     def claim_ratio_growth(limit: int = 10) -> tuple:
@@ -848,8 +842,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
-        if not x.is_zero_like and x.valuation < 0:
-            raise DomainError("defined on Z_p only")
         pairs = x.abs_precision // 2
         if pairs < 1:
             raise InsufficientPrecision("first digit pair unknown")
@@ -942,12 +934,7 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
         if x.is_bounded_zero:
-            if x.abs_precision < 0:
-                # its refinements include points of valuation < 0
-                raise InsufficientPrecision("membership in Z_p unknown")
             return PadicNumber.bounded_zero(p, x.abs_precision)
-        if x.valuation < 0:
-            raise DomainError("defined on Z_p only")
         n = x.valuation
         if n < 1 or x.digit(n) != 1 or (N is not None and n not in N):
             return PadicNumber.zero(p, precision)

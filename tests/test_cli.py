@@ -1,19 +1,22 @@
+import contextlib
 import csv
 import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padiczoo
 from conftest import power_str, reference_lip_rows
-from padiczoo.cli import main
+from padiczoo.cli import HAAR_CLAIMS, main
 from padiczoo.families import IndexSet
 from padiczoo.zoo import ENTRY_NAMES, build_entry
 
@@ -425,3 +428,110 @@ def test_thm2_f_claims_refuse_short_precision(capsys, precision, claim,
                          "thm2_f", claim)
     assert code == 3 and out == ""
     assert f"needs {need} digits" in err
+
+
+@pytest.mark.parametrize("entry", ["lip_fN", "thm2_f", "thm2_g", "thm2_fN"])
+def test_eval_refuses_points_off_z_p_on_z_p_entries(capsys, entry):
+    # one membership check in the function call answers for all four
+    assert run(capsys, "--prime", "3", "eval", entry, "1/3") \
+        == (2, "", "error: defined on Z_p only\n")
+    assert run(capsys, "--prime", "3", "eval", entry, "0 (mod 3^-2)") \
+        == (3, "", "insufficient precision: membership in Z_p unknown "
+                   "(retry with a larger --precision)\n")
+
+
+# --- the CLI contract over drawn argv ----------------------------------------
+
+CLAIM_NAMES = {**{name: sorted(build_entry(name, 3).claims)
+                  for name in ENTRY_NAMES}, "haar": sorted(HAAR_CLAIMS)}
+# the last line of a usage refusal: main's own, or argparse's
+USAGE_LINE = re.compile(r"(padiczoo( \w+)?: )?error: \S.*")
+
+
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@st.composite
+def _options(draw, table, rare=()):
+    """Each option of ``table`` (option -> values) or none, in drawn
+    order; a ``rare`` one, which most runs refuse, a quarter of the time."""
+    argv = []
+    for opt, values in draw(st.permutations(sorted(table.items()))):
+        if draw(st.integers(0, 3)) >= (3 if opt in rare else 2):
+            argv += [opt, str(draw(st.sampled_from(values)))]
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    # a fifth of the primes and of the precisions are bad ones; the sizes
+    # (--precision, --limit, --samples, --n-max, --k) are capped
+    p = draw(st.sampled_from([2, 3, 5, 7] * 3 + [1, 4, -3]))
+    argv = ["--prime", str(p), "--precision",
+            str(draw(st.sampled_from([8, 12, 16, 24] * 2 + [-1, 7]))),
+            *draw(_options({"--seed": [0, 1, -2, 2 ** 64],
+                            "--format": ["text", "json", "json"]}))]
+    entry_opts = {"--set": ["3,0", "3,1", "2,1", "3,2", "a,b"],
+                  "--beta": ["1/7", "4", "6", "0", "p^-1"]}
+    command = draw(st.sampled_from(["eval", "eval", "verify", "verify",
+                                    "verify", "table", "haar", "list"]))
+    argv.append(command)
+    if command == "eval":
+        # the Z_p entries are drawn at points off Z_p too
+        argv += [draw(st.sampled_from([*ENTRY_NAMES, "nope"])),
+                 draw(st.sampled_from([
+                     "0", "1", "7", "-5", "1/3", "2/9", "p^2", "p^-2",
+                     f"0 (mod {p}^-2)", f"0 (mod {p}^4)",
+                     f"1 1 * {p}^-1 (mod {p}^3)", "1/0", "p^",
+                     "99999999999999999999/7"])),
+                 *draw(_options(entry_opts))]
+    elif command == "verify":
+        entry = draw(st.sampled_from(sorted(CLAIM_NAMES)))
+        # haar's default is 100 000 samples, so haar always caps them
+        claims = [*CLAIM_NAMES[entry] * 2, "nope"]
+        argv += [entry, draw(st.sampled_from(claims)),
+                 *draw(_options({**entry_opts, "--limit": [-1, 0, 1, 3],
+                                 "--k": [-1, 0, 1, 3, 3],
+                                 "--samples": [-1, 0, 1, 20, 20]},
+                                rare=() if entry == "haar" else (
+                                    "--beta", "--k", "--samples")))]
+        if entry == "haar" and "--samples" not in argv:
+            argv += ["--samples", "20"]
+    elif command == "table":
+        argv += [draw(st.sampled_from(["lip_fN", "lip_fN", "thm34i"])),
+                 *draw(_options({"--set": entry_opts["--set"],
+                                 "--alpha": [-2, 0, 1, 5],
+                                 "--n-max": [-1, 0, 5, 30]}))]
+    elif command == "haar":
+        argv += ["--samples", str(draw(st.sampled_from([-1, 0, 1, 20, 20]))),
+                 *draw(_options({"--k": [-1, 0, 1, 3, 3]}))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_cli_contract_over_drawn_argv(argv):
+    # every run exits 0-3 without a traceback; a refusal says which kind it
+    # is on its last stderr line, and a report that passes or fails prints
+    # strict JSON where the command prints JSON
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code == 2:
+        assert out == "" and USAGE_LINE.fullmatch(lines[-1]), err
+    elif code == 3:
+        assert out == "" and len(lines) == 1, err
+        assert lines[0].startswith("insufficient precision: ")
+    else:
+        assert err == ""
+        command = next(a for a in argv if a in (
+            "eval", "verify", "table", "haar", "list"))
+        if "json" in argv or command in ("verify", "haar"):
+            _strict_json(out)

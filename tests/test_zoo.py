@@ -251,18 +251,21 @@ def test_lip_derivative_refuses_where_lip_fN_refuses_off_z_p(p):
 def _lip_fN_by_ball(N, p, precision):
     """lip_fN's evaluate before it read the ball from the leading digit:
     sigma and its inverse in closed form, then the precision and residue
-    checks of the ball around sigma(n)."""
+    checks of the ball around sigma(n).  Off Z_p it raises what the
+    function call's Z_p check raises."""
     q = max(p - 1, 1)
 
     def evaluate(x: PadicNumber) -> PadicNumber:
         x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
+        if x.is_bounded_zero and x.valuation < 0:
+            raise InsufficientPrecision("membership in Z_p unknown")
         if x.is_bounded_zero:
             raise InsufficientPrecision(
                 "ball membership needs a resolved leading digit")
         if x.valuation < 0:
-            raise DomainError("ball system lives on Z_p")
+            raise DomainError("defined on Z_p only")
         j, u = x.valuation, x.digit(x.valuation)
         n = j * (p - 1) + (u - 1) if p > 2 else j
         k = (n % q + 1) * p ** (n // q)
@@ -321,8 +324,11 @@ def test_lip_eval_matches_ball_reference(p, N, precision, v, kind, data):
 @pytest.mark.parametrize("name", ["lip_fN", "thm2_f", "thm2_g", "thm2_fN"])
 def test_zp_entries_refuse_a_bounded_zero_below_p0(name, p):
     # a bounded zero mod p**k with k < 0 has refinements outside Z_p, so
-    # its membership in the domain is unknown
-    f = build_entry(name, p).function
+    # its membership in the domain is unknown; a point of valuation < 0
+    # lies outside it.  The entry's derivative, where it has one, and a
+    # product with another Z_p entry refuse the same points
+    e = build_entry(name, p)
+    f = e.function
     for k in (-2, -1, 0, 1):
         x = PadicNumber.bounded_zero(p, k)
         if k >= 0 and name in ("thm2_g", "thm2_fN"):
@@ -331,6 +337,23 @@ def test_zp_entries_refuse_a_bounded_zero_below_p0(name, p):
         else:
             with pytest.raises(InsufficientPrecision):
                 f(x)
+    other = build_entry("lip_fN" if name == "thm2_f" else "thm2_f", p)
+    poly = poly_combine([e, other], [Monomial(PadicNumber.one(p), (1, 1))])
+    assert poly.function.domain_tag == "Zp"
+    fns = [g for g in (f, e.derivative, poly.function) if g is not None]
+    for g in fns:
+        for k in (-2, -1):
+            with pytest.raises(InsufficientPrecision,
+                               match="^membership in Z_p unknown$"):
+                g(PadicNumber.bounded_zero(p, k))
+        for x in (PadicNumber.from_rational(1, p, p),
+                  PadicNumber.from_rational(p + 1, p ** 3, p, 2),
+                  PadicNumber.from_unit(p, -2, 1, 4)):
+            with pytest.raises(DomainError, match="^defined on Z_p only$"):
+                g(x)
+    # an exact zero lies in Z_p at every precision, negative ones included
+    assert build_entry(name, p, -4).function(PadicNumber.zero(p, -3)) \
+        == PadicNumber.zero(p, -4)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -652,8 +675,24 @@ def test_prop26_derivative_off_zero(name):
         v = abs(x.valuation)
         h = PadicNumber.from_int(p ** (v * v + v + 2), p)
         assert ((e.function(x + h) - e.function(x)) / h).is_zero_like
-    with pytest.raises(DomainError):
+    with pytest.raises(InsufficientPrecision):
         e.derivative(PadicNumber.bounded_zero(p, 9))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", ["prop26", "prop26_g"])
+def test_prop26_derivative_at_a_bounded_zero_is_unknown(name, p):
+    # a bounded zero may be 0, where there is no derivative, or a point
+    # like p**(k+2) that refines it, where the derivative is 0
+    e = build_entry(name, p)
+    with pytest.raises(DomainError, match="not differentiable at 0"):
+        e.derivative(PadicNumber.zero(p, 5))
+    for k in (-2, 0, 5, 70):
+        with pytest.raises(InsufficientPrecision, match="may be 0"):
+            e.derivative(PadicNumber.bounded_zero(p, k))
+        refinement = PadicNumber.from_unit(p, k + 2, 1, k + 4)
+        assert refinement.agrees_with(PadicNumber.bounded_zero(p, k))
+        assert e.derivative(refinement).is_exact_zero
 
 
 def test_prop26_respects_index_set():
@@ -799,14 +838,16 @@ def test_poly_combine_skips_exponent_zero_factors():
 
 
 def test_poly_combine_calls_only_the_entries_it_uses():
-    # thm2_g is defined on Z_p only, but no monomial raises it to a power
+    # thm2_g is defined on Z_p only, but no monomial raises it to a power,
+    # in either place: the combination lives on Q_p
     p = 3
-    thm34i = build_entry("thm34i", p)
+    thm34i, thm2_g = build_entry("thm34i", p), build_entry("thm2_g", p)
     two = PadicNumber.from_int(2, p)
-    poly = poly_combine([thm34i, build_entry("thm2_g", p)],
-                        [Monomial(two, (1, 0))])
     x = PadicNumber.from_rational(1, 3, p)
-    assert poly.function(x) == two * thm34i.function(x)
+    for entries, exponents in (([thm34i, thm2_g], (1, 0)),
+                               ([thm2_g, thm34i], (0, 1))):
+        poly = poly_combine(entries, [Monomial(two, exponents)])
+        assert poly.function(x) == two * thm34i.function(x)
 
 
 def test_registry_complete():
