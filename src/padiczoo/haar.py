@@ -77,7 +77,9 @@ class Stream:
         self._draws = 0
 
     def below(self, n: int) -> int:
-        """A uniform integer in [0, n)."""
+        """A uniform integer in [0, n); an empty range raises DomainError."""
+        if n < 1:
+            raise DomainError(f"empty range: no integer below {n}")
         sha256, seed, i = hashlib.sha256, self._seed, self._draws
         self._draws = i + 1
         r = 0

@@ -22,21 +22,28 @@ DIVERGENCE_EXPONENT = 64
 
 @dataclass(frozen=True)
 class PadicFunction:
-    """An evaluable function on Q_p or Z_p.
+    """An evaluable function on Q_p or Z_p for one prime.
 
     Evaluators must be deterministic in the digits they consume and must
-    refine (never contradict) lower-precision outputs.  On Z_p the call
-    refuses a point of valuation < 0, and a bounded zero mod p**k, k < 0.
+    refine (never contradict) lower-precision outputs.  The call refuses a
+    point of another prime, and on Z_p one of valuation < 0 or a bounded
+    zero mod p**k, k < 0; it reads an exact point at least to ``precision``.
     """
 
     evaluator: Callable[[PadicNumber], PadicNumber]
+    prime: int
+    precision: int
     domain_tag: str = "Qp"
 
     def __call__(self, x: PadicNumber) -> PadicNumber:
+        if x.prime != self.prime:
+            raise DomainError(f"prime mismatch: {x.prime} vs {self.prime}")
         if self.domain_tag == "Zp" and x.valuation < 0 and not x.is_exact_zero:
             if x.is_bounded_zero:  # some refinements lie off Z_p
                 raise InsufficientPrecision("membership in Z_p unknown")
             raise DomainError("defined on Z_p only")
+        if x.exact is not None and x.abs_precision < self.precision:
+            x = x.at_precision(self.precision)
         return self.evaluator(x)
 
 

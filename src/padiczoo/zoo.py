@@ -70,15 +70,10 @@ class ZooEntry:
         return ClaimResult(name, *self.claims[name](**kwargs))
 
 
-def _expand(x: PadicNumber, precision: int) -> PadicNumber:
-    if x.exact is not None and x.abs_precision < precision:
-        return x.at_precision(precision)
-    return x
-
-
-def _zero_derivative(p: int, precision: int, domain_tag: str) -> PadicFunction:
-    """The derivative 0, on its function's domain."""
-    return PadicFunction(lambda x: PadicNumber.zero(p, precision), domain_tag)
+def _zero_derivative(fn: PadicFunction) -> PadicFunction:
+    """The derivative 0 of ``fn``, on its domain."""
+    zero = PadicNumber.zero(fn.prime, fn.precision)
+    return replace(fn, evaluator=lambda x: zero)
 
 
 def _upto(indices: Iterable[int], limit: int) -> Iterator[int]:
@@ -163,7 +158,6 @@ def thm34i_fN(N: IndexSet, p: int,
     canonical pair witness."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_bounded_zero:
             # any ball x could lie in has index >= abs_precision
             return PadicNumber.bounded_zero(p, 2 * max(1, x.abs_precision))
@@ -171,7 +165,8 @@ def thm34i_fN(N: IndexSet, p: int,
         if n < 1 or n not in N:
             return PadicNumber.zero(p, 2 * precision)
         # x = p**n u is on the ball iff u = 1 mod p**(n+1); k digits known
-        x = _expand(x, 2 * n + 1)
+        if x.exact is not None and x.abs_precision < 2 * n + 1:
+            x = x.at_precision(2 * n + 1)
         k = min(n + 1, x.abs_precision - n)
         if x.unit % p ** k != 1:
             return PadicNumber.zero(p, 2 * precision)
@@ -180,12 +175,11 @@ def thm34i_fN(N: IndexSet, p: int,
             return PadicNumber.bounded_zero(p, 2 * n)
         return PadicNumber.from_rational(p ** (2 * n), 1, p, 2 * precision)
 
-    fn = PadicFunction(evaluate, domain_tag="Qp")
+    fn = PadicFunction(evaluate, p, precision)
     bind = (fn, N.members, PadicNumber.one(p, precision), precision)
 
     # the derivative is 0 at the origin too, via |f(x)/x| = p^-n -> 0
-    return ZooEntry(thm34i_fN.__name__, p, fn,
-                    _zero_derivative(p, precision, "Qp"), claims={
+    return ZooEntry(thm34i_fN.__name__, p, fn, _zero_derivative(fn), claims={
                         "strict-fail": functools.partial(strict_fail, *bind),
                         "derivative-at-zero":
                             functools.partial(derivative_at_zero, *bind),
@@ -281,7 +275,6 @@ def thm34ii_gN(N: IndexSet, p: int,
     the canonical triples have constant norm."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, 2 * precision)
         hi = x.abs_precision
@@ -293,7 +286,7 @@ def thm34ii_gN(N: IndexSet, p: int,
                         _spread_table(N, p, low, hi))
         return PadicNumber.from_unit(p, 0, total, 2 * hi)
 
-    fn = PadicFunction(evaluate, domain_tag="Qp")
+    fn = PadicFunction(evaluate, p, precision)
 
     def claim_contraction(per_depth: int = 32, seed: int = 0) -> tuple:
         # per_depth residue pairs at each depth below precision, read
@@ -317,8 +310,7 @@ def thm34ii_gN(N: IndexSet, p: int,
         return bool(depths), {"per_depth": per_depth, "depths": len(depths),
                               "worst_ratio": ratio}
 
-    return ZooEntry(thm34ii_gN.__name__, p, fn,
-                    _zero_derivative(p, precision, "Qp"), claims={
+    return ZooEntry(thm34ii_gN.__name__, p, fn, _zero_derivative(fn), claims={
                         "contraction": claim_contraction,
                         "order2-witness": functools.partial(
                             order2_witness, fn, N.members,
@@ -378,7 +370,6 @@ def lip_fN(N: IndexSet, p: int,
     n = j * max(p - 1, 1) + u - 1, and no other digit is read."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
         if x.is_bounded_zero:
@@ -390,7 +381,7 @@ def lip_fN(N: IndexSet, p: int,
         m = schedule_exponent(u * p ** x.valuation, p)
         return PadicNumber.from_rational(p ** m, 1, p, precision + m)
 
-    fn = PadicFunction(evaluate, domain_tag="Zp")
+    fn = PadicFunction(evaluate, p, precision, domain_tag="Zp")
 
     def claim_n1_decay(n_limit: int = 10_000) -> tuple:
         # the products a / q are compared exactly, as integer
@@ -418,8 +409,7 @@ def lip_fN(N: IndexSet, p: int,
             "n_limit": n_limit, "threshold": threshold,
             "first_crossing": first_cross}
 
-    return ZooEntry(lip_fN.__name__, p, fn,
-                    _zero_derivative(p, precision, "Zp"), claims={
+    return ZooEntry(lip_fN.__name__, p, fn, _zero_derivative(fn), claims={
                         "n1-decay": claim_n1_decay,
                         "lip2-unbounded": claim_lip2_unbounded,
                     })
@@ -456,7 +446,7 @@ def _shell_sum(terms: Sequence[tuple], p: int,
     alphas = [a for _, _, a in terms]
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        split = _head_and_offset(_expand(x, precision), p)
+        split = _head_and_offset(x, p)
         if split is None:
             return PadicNumber.zero(p, precision)
         n, y = split
@@ -466,7 +456,7 @@ def _shell_sum(terms: Sequence[tuple], p: int,
             gammas.append(scale if c is None else scale * c)
         return _sum_of_powers(gammas, alphas, y, precision)
 
-    return PadicFunction(evaluate, domain_tag="Qp")
+    return PadicFunction(evaluate, p, precision)
 
 
 def thm16_fbeta(beta: PadicNumber, p: int,
@@ -559,10 +549,12 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
         if m.exponents in seen:
             raise DomainError("exponent tuples must be pairwise distinct")
         seen.add(m.exponents)
+    p = entries[0].prime
+    if any(e.prime != p for e in entries):
+        raise DomainError("entries must share one prime")
     if len(monomials) == 1 and monomials[0].degree == 1 \
             and monomials[0].coefficient.exact == 1:
         return entries[monomials[0].exponents.index(1)]
-    p = entries[0].prime
     # the entries some monomial raises to a power, None for the others
     used = [e if any(m.exponents[i] for m in monomials) else None
             for i, e in enumerate(entries)]
@@ -586,7 +578,7 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
     if all(b is not None for b in betas):
         derivative, claims = _shell_derivative(monomials, betas, p, precision)
     zp = any(e and e.function.domain_tag == "Zp" for e in used)
-    fn = PadicFunction(evaluate, domain_tag="Zp" if zp else "Qp")
+    fn = PadicFunction(evaluate, p, precision, domain_tag="Zp" if zp else "Qp")
     return ZooEntry("poly", p, fn, derivative, claims=claims)
 
 
@@ -674,7 +666,7 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         return n, d / y - one
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        d = _expand(x, precision) - a
+        d = x - a
         if d.is_bounded_zero:
             # x could be in a ball with n^2 >= abs_precision only
             return PadicNumber.bounded_zero(p, _square_index(d.abs_precision))
@@ -686,7 +678,7 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
             * pow_one_plus(y, beta, precision)
 
     def derivative(x: PadicNumber) -> PadicNumber:
-        d = _expand(x, precision) - a
+        d = x - a
         if d.is_exact_zero:
             raise DomainError("not differentiable at the pinch point")
         if d.is_bounded_zero:
@@ -709,8 +701,8 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         return limit >= 1, {"limit": limit}
 
     return ZooEntry(cor15_gbeta.__name__, p,
-                    PadicFunction(evaluate, domain_tag="Qp"),
-                    PadicFunction(derivative, domain_tag="Qp"),
+                    PadicFunction(evaluate, p, precision),
+                    PadicFunction(derivative, p, precision),
                     claims={"center-values": claim_values_on_centers})
 
 
@@ -768,7 +760,6 @@ def prop26_fN(N: Optional[IndexSet], p: int,
     not Lipschitz of any positive order at 0."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
         if x.is_bounded_zero:
@@ -812,8 +803,8 @@ def prop26_fN(N: Optional[IndexSet], p: int,
         return samples >= 1, {"samples": samples}
 
     return ZooEntry(prop26_fN.__name__, p,
-                    PadicFunction(evaluate, domain_tag="Qp"),
-                    PadicFunction(derivative, domain_tag="Qp"), claims={
+                    PadicFunction(evaluate, p, precision),
+                    PadicFunction(derivative, p, precision), claims={
                         "ratio-growth": claim_ratio_growth,
                         "derivative-zero": claim_derivative_zero,
                     })
@@ -839,7 +830,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
     exactly at points with a zero pair, where it is locally constant."""
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_exact_zero:
             return PadicNumber.zero(p, precision)
         pairs = x.abs_precision // 2
@@ -906,7 +896,8 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         return count > 0, {"steps": count}
 
     return ZooEntry(thm2_f.__name__, p,
-                    PadicFunction(evaluate, domain_tag="Zp"), claims={
+                    PadicFunction(evaluate, p, precision, domain_tag="Zp"),
+                    claims={
                         "continuity-modulus": claim_continuity_modulus,
                         "deviation": claim_deviation,
                     })
@@ -932,7 +923,6 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
     f = thm2_f(p, precision).function
 
     def evaluate(x: PadicNumber) -> PadicNumber:
-        x = _expand(x, precision)
         if x.is_bounded_zero:
             return PadicNumber.bounded_zero(p, x.abs_precision)
         n = x.valuation
@@ -946,7 +936,7 @@ def thm2_g(p: int, precision: int = DEFAULT_PRECISION,
                                                     x.abs_precision + n + 1)
         return PadicNumber.from_int(p ** n, p, precision + n) * f(xprime)
 
-    fn = PadicFunction(evaluate, domain_tag="Zp")
+    fn = PadicFunction(evaluate, p, precision, domain_tag="Zp")
 
     return ZooEntry(thm2_g.__name__, p, fn, claims={
         "quotient-norm-one": functools.partial(

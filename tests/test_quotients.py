@@ -13,7 +13,7 @@ from padiczoo.quotients import (
 
 
 def _square(p, precision=32):
-    return PadicFunction(lambda x: x * x, domain_tag="Qp")
+    return PadicFunction(lambda x: x * x, p, precision, domain_tag="Qp")
 
 
 def test_phi1_of_square_is_sum(rng):
@@ -37,7 +37,7 @@ def test_phi2_of_square_is_one():
 
 def test_phi_symmetric_under_permutation():
     p = 3
-    f = PadicFunction(lambda x: x * x * x)
+    f = PadicFunction(lambda x: x * x * x, p, 40)
     pts = tuple(PadicNumber.from_int(v, p, 40) for v in (2, 5, 10))
     values = [phi_r(f, perm) for perm in permutations(pts)]
     assert all(v.agrees_with(values[0]) for v in values[1:])
@@ -69,7 +69,7 @@ def test_derivative_probe_converges():
 
 def test_strict_probe_constant_stays():
     p = 3
-    ident = PadicFunction(lambda x: x)
+    ident = PadicFunction(lambda x: x, p, 40)
     pairs = ((n, (PadicNumber.from_int(p ** n, p, 40),
                   PadicNumber.from_int(2 * p ** n, p, 40)))
              for n in range(1, 10))
@@ -82,7 +82,7 @@ def test_diverging_trace_flagged():
     p = 2
     f = PadicFunction(
         lambda x: PadicNumber.from_rational(1, p ** 200, p, 16)
-        if not x.is_zero_like else PadicNumber.zero(p))
+        if not x.is_zero_like else PadicNumber.zero(p), p, 16)
     a = PadicNumber.zero(p)
     seq = ((n, PadicNumber.from_int(p ** n, p, 250)) for n in range(1, 4))
     trace = probe_derivative(f, a, seq, steps=3)
@@ -104,7 +104,7 @@ def test_order2_probe_runs():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_strict_probe_matches_phi_r_at_every_order(order):
     p = 3
-    f = PadicFunction(lambda x: x * x * x * x)
+    f = PadicFunction(lambda x: x * x * x * x, p, 40)
     seq = [(n, tuple(PadicNumber.from_int(p ** n * (k + 1) + k, p, 40)
                      for k in range(order + 1)))
            for n in range(1, 7)]
@@ -139,7 +139,7 @@ def test_phi_r_evaluates_f_once_per_point(p, r, rng):
         calls.append(x)
         return x * x * x + x
 
-    f = PadicFunction(cube_plus)
+    f = PadicFunction(cube_plus, p, 24)
     for _ in range(5):
         pts = tuple(rng.nonzero(p, 24, (-2, 4)) for _ in range(r + 1))
         if any((a - b).is_zero_like for i, a in enumerate(pts)

@@ -67,7 +67,7 @@ def test_basis_contracts():
 def test_decompose_identity():
     # for f(x) = x: a_0 = 0 and a_n = (leading digit of n) * p^s
     p = 3
-    ident = PadicFunction(lambda x: x)
+    ident = PadicFunction(lambda x: x, p, DEFAULT_PRECISION)
     coeff = decompose(ident, p)
     assert coeff(0).is_exact_zero
     for n in range(1, 101):
@@ -90,7 +90,7 @@ def partial_sum(coeff, n_max: int, x: PadicNumber) -> PadicNumber:
 
 def test_partial_sum_reconstructs_identity():
     p = 3
-    coeff = decompose(PadicFunction(lambda x: x), p)
+    coeff = decompose(PadicFunction(lambda x: x, p, DEFAULT_PRECISION), p)
     for k in (0, 1, 5, 13, 26):
         got = partial_sum(coeff, 30, PadicNumber.from_int(k, p))
         assert got.agrees_with(PadicNumber.from_int(k, p))

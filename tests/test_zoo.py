@@ -40,9 +40,16 @@ from padiczoo.zoo import (
     thm2_g,
     thm34i_fN,
     thm34ii_gN,
-    _expand,
     _head_and_offset,
 )
+
+
+def _expand(x: PadicNumber, precision: int) -> PadicNumber:
+    """An exact x known below ``precision``, re-read at ``precision``: what
+    a gallery function's call does before its evaluator runs."""
+    if x.exact is not None and x.abs_precision < precision:
+        return x.at_precision(precision)
+    return x
 
 
 # --- disjoint ball system ---------------------------------------------------
@@ -514,6 +521,9 @@ def test_poly_combine_validation():
                                Monomial(one, (1, 0))])  # duplicate
     with pytest.raises(DomainError):
         poly_combine(entries, [Monomial(PadicNumber.zero(p), (1, 0))])
+    with pytest.raises(DomainError, match="one prime"):  # no common point
+        poly_combine([build_entry("thm34i", p), build_entry("thm2_f", 5)],
+                     [Monomial(one, (1, 1))])
     # a single monomial is validated before it can stand for one entry
     steps = [build_entry("thm34i", p, member_bit=b) for b in range(3)]
     for m in (Monomial(one, (1, 1, -1)), Monomial(one, (1,)),
@@ -827,9 +837,9 @@ def test_poly_combine_skips_exponent_zero_factors():
     # would cut the term to the few digits of v
     p = 3
     coarse = ZooEntry("coarse", p, PadicFunction(
-        lambda x: PadicNumber.from_unit(p, 0, 1, 2)))
+        lambda x: PadicNumber.from_unit(p, 0, 1, 2), p, 64))
     fine = ZooEntry("fine", p, PadicFunction(
-        lambda x: PadicNumber.from_unit(p, 0, 2, 40)))
+        lambda x: PadicNumber.from_unit(p, 0, 2, 40), p, 64))
     two = PadicNumber.from_int(2, p)
     poly = poly_combine([coarse, fine], [Monomial(two, (0, 1))])
     x = PadicNumber.one(p)
@@ -861,6 +871,41 @@ def test_registry_complete():
     assert build_entry("thm16", 3, beta=beta).beta is beta
     with pytest.raises(DomainError):
         build_entry("nope", 3)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_entries_refuse_a_point_of_another_prime(name):
+    # a gallery function knows its prime: a point of another prime is
+    # refused before any of its digits is read
+    p, q = 5, 3
+    e = build_entry(name, p)
+    poly = poly_combine([e, build_entry("thm34i", p)],
+                        [Monomial(PadicNumber.one(p), (1, 1))])
+    fns = [f for f in (e.function, e.derivative, poly.function) if f]
+    assert all(f.prime == e.prime == p for f in fns)
+    for x in (PadicNumber.from_int(9, q), PadicNumber.from_rational(1, 3, q),
+              PadicNumber.from_unit(q, 1, 2, 6), PadicNumber.zero(q),
+              PadicNumber.bounded_zero(q, 4)):
+        for f in fns:
+            with pytest.raises(DomainError,
+                               match=f"prime mismatch: {q} vs {p}"):
+                f(x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_exact_points_are_read_at_the_entry_precision(name, p):
+    # a rational known mod p**k, k below the entry's precision, gets the
+    # answer of the same rational known mod p**precision
+    n = 24
+    e = build_entry(name, p, n)
+    for num, den in ((p, 1), (p + p ** 3, 1), (p ** 4, 1 - p), (1, 1 - p),
+                     (1 + p * p, p), (7, 3 * p + 1), (p ** 9 + p ** 12, 1)):
+        want = PadicNumber.from_rational(num, den, p, n)
+        for k in (1, 2, 7, n - 1):
+            x = PadicNumber.from_rational(num, den, p, k)
+            for f in filter(None, (e.function, e.derivative)):
+                assert _outcome(f, x) == _outcome(f, want), (x.render(), k)
 
 
 def test_poly_combine_composes_only_shells():
