@@ -15,7 +15,7 @@ from itertools import count, cycle, islice, takewhile, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
-    PadicNumber, ord_int, pow_one_plus
+    PadicNumber, _digit_io, ord_int, pow_one_plus
 from .families import IndexSet
 from .haar import Stream
 from .quotients import PadicFunction, TraceRow, WitnessTrace, \
@@ -189,62 +189,43 @@ def thm34i_fN(N: IndexSet, p: int,
 # ---------------------------------------------------------------------------
 # digit-spreading contraction x_n -> x_n p^{2n}
 
-# thm34ii's kernel reads x in limbs of k digits (the largest multiple of c
-# with p**k < 2**124, two machine words), each in chunks of c digits (the
-# most with p**c <= 256) through a table of the chunk's p**c spreads
-_CHUNK_VALUES = 256
-
-
 @functools.lru_cache(maxsize=256)
-def _chunk_table(p: int, c: int, offsets: tuple) -> Sequence[int]:
-    """For each w in [0, p**c): the sum of digit j of w times p**2j over the
-    member offsets j."""
-    t = [0]
-    for j in range(c):
-        w2 = p ** (2 * j) if j in offsets else 0
-        t = [s + d * w2 for d in range(p) for s in t]
-    return tuple(t)
+def _chunk_table(p: int, offsets: tuple) -> Sequence[int]:
+    """For each w in [0, p**c), c digits as in core's digit I/O at p: the
+    sum of digit j of w times p**2j over the member offsets j."""
+    return tuple(sum(ds[j] * p ** (2 * j) for j in offsets)
+                 for ds in _digit_io(p).split)
 
 
 @functools.lru_cache(maxsize=256)
 def _spread_table(N: IndexSet, p: int, low: int, hi: int) -> tuple:
-    """What ``_spread`` needs for the digits low, low+1, ... below hi: p**k,
-    p**2k, p**2low, p**c, and for each limb the triples (p**(b - b'), chunk
-    table or None for one digit, p**2b) of its chunks at offsets b that hold
-    a member, where b' is the offset of the chunk before (0 for the first)."""
-    c = next(e for e in count(1) if p ** (e + 1) > _CHUNK_VALUES)
-    k = c * next(i for i in count(1) if p ** (c * i + c) >= 2 ** 124)
-    limbs = []
-    for a in range(low, hi, k):
-        chunks, last = [], 0
-        for b in range(0, min(k, hi - a), c):
-            offsets = tuple(j for j in range(min(c, hi - a - b))
-                            if a + b + j in N)
-            if offsets:
-                chunks.append((p ** (b - last), _chunk_table(p, c, offsets)
-                               if c > 1 else None, p ** (2 * b)))
-                last = b
-        limbs.append(tuple(chunks))
-    return p ** k, p ** (2 * k), p ** (2 * low), p ** c, tuple(limbs)
+    """What ``_spread`` needs for the digits low, low+1, ... below hi:
+    p**2low, p**c, and the triples (p**(b - b'), chunk table or None for one
+    digit, p**2b) of the chunks of c digits (core's digit I/O) at offsets b
+    that hold a member, where b' is the offset of the chunk before (0 for
+    the first)."""
+    io = _digit_io(p)
+    c, chunks, last = ord_int(io.chunk, p), [], 0
+    for b in range(0, hi - low, c):
+        offsets = tuple(j for j in range(min(c, hi - low - b))
+                        if low + b + j in N)
+        if offsets:
+            chunks.append((p ** (b - last), _chunk_table(p, offsets)
+                           if io.split else None, p ** (2 * b)))
+            last = b
+    return p ** (2 * low), io.chunk, tuple(chunks)
 
 
 def _spread(u: int, table: tuple) -> int:
     """thm34ii's kernel: sum of a_n * p**2n over the members n of the
     table's N in [low, hi), where a_n is digit n - low of the integer u.
-    Each chunk is read after dividing its limb by a small power of p."""
-    limb, limb_out, scale, chunk, limbs = table
-    sums = []
-    for chunks in limbs:
-        u, w = divmod(u, limb)
-        s = 0
-        for skip, t, w2 in chunks:
-            w //= skip
-            d = w % chunk
-            s += (t[d] if t else d) * w2
-        sums.append(s)
+    Each chunk is read after dividing u by a small power of p."""
+    scale, chunk, chunks = table
     total = 0
-    for s in reversed(sums):
-        total = total * limb_out + s
+    for skip, t, w2 in chunks:
+        u //= skip
+        d = u % chunk
+        total += (t[d] if t else d) * w2
     return total * scale
 
 
@@ -544,6 +525,9 @@ def poly_combine(entries: Sequence[ZooEntry], monomials: Sequence[Monomial],
         if not isinstance(m.coefficient, PadicNumber):
             raise DomainError("monomial coefficients must be PadicNumber "
                               f"values, not {type(m.coefficient).__name__}")
+        if m.coefficient.prime != entries[0].prime:
+            raise DomainError(f"prime mismatch: {m.coefficient.prime} vs "
+                              f"{entries[0].prime}")
         if m.coefficient.is_zero_like:
             raise DomainError("monomial coefficients must be nonzero")
         if m.exponents in seen:
@@ -651,6 +635,9 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
                 precision: int = DEFAULT_PRECISION) -> ZooEntry:
     """On the closed ball of radius p**-(n^2+1) around a + p**(n^2) the
     value is p**n [p**-(n^2)(x-a)]**beta; zero elsewhere."""
+    for q in (beta.prime, a.prime):
+        if q != p:
+            raise DomainError(f"prime mismatch: {q} vs {p}")
     if beta.is_zero_like or beta.valuation < 0:
         raise DomainError("exponent must be a nonzero p-adic integer")
     one = PadicNumber.one(p, precision)
@@ -842,17 +829,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return x.truncated(2 * pairs)
         return PadicNumber.from_int(r % p ** (2 * i), p, precision)
 
-    def deviation_witness(x: PadicNumber, limit: int) -> Iterator:
-        """Perturbations of an all-pairs-nonzero point that zero out one
-        pair and restart two digits later."""
-        for n in range(limit):
-            if 2 * n + 12 >= x.abs_precision:
-                return
-            # copy pairs 0..n, zero out pair n+1, restart with a 1 digit
-            xbar = PadicNumber.from_unit(
-                p, 0, x.residue(2 * n + 2) + p ** (2 * n + 4), x.abs_precision)
-            yield n, (x, xbar)
-
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
                                  seed: int = 0) -> tuple:
         # the offsets y - x are drawn below p**(2 m_max + 2)
@@ -885,10 +861,15 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         if precision < 14:
             raise InsufficientPrecision("deviation needs 14 digits")
         x = Stream(seed).no_zero_pair(p, precision)
-        one = PadicNumber.one(p, precision)
+        one, fx = PadicNumber.one(p, precision), evaluate(x)
         count = 0
-        for n, (a, b) in deviation_witness(x, steps):
-            q = (evaluate(a) - evaluate(b)) / (a - b)
+        for n in range(steps):
+            if 2 * n + 12 >= x.abs_precision:
+                break
+            # copy pairs 0..n, zero out pair n+1, restart with a 1 digit
+            xbar = PadicNumber.from_unit(
+                p, 0, x.residue(2 * n + 2) + p ** (2 * n + 4), x.abs_precision)
+            q = (fx - evaluate(xbar)) / (x - xbar)
             dev = (q - one).norm_upper()
             if (q - one).is_bounded_zero or dev < Fraction(p) ** -2:
                 return False, {"n": n}
