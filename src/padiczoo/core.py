@@ -453,8 +453,7 @@ _DIGITS_RE = re.compile(
     r"^\s*(?:(?P<digits>\d[\d\s]*)\*\s*(?P<p>\d+)\^(?P<v>-?\d+)|0)"
     r"\s*\(mod\s*(?P<q>\d+)\^(?P<n>-?\d+)\)\s*$")
 _POW_RE = re.compile(r"^\s*p\^(?P<k>-?\d+)\s*$")
-_RAT_RE = re.compile(r"^\s*(?P<num>-?\d+)\s*/\s*(?P<den>-?\d+)\s*$")
-_INT_RE = re.compile(r"^\s*(?P<num>-?\d+)\s*$")
+_RAT_RE = re.compile(r"^\s*(?P<num>-?\d+)\s*(?:/\s*(?P<den>-?\d+)\s*)?$")
 
 
 def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNumber:
@@ -472,10 +471,7 @@ def parse_padic(text: str, p, abs_precision: int = DEFAULT_PRECISION) -> PadicNu
     m = _RAT_RE.match(text)
     if m:
         return PadicNumber.from_rational(
-            int(m.group("num")), int(m.group("den")), p, abs_precision)
-    m = _INT_RE.match(text)
-    if m:
-        return PadicNumber.from_int(int(m.group("num")), p, abs_precision)
+            int(m.group("num")), int(m.group("den") or 1), p, abs_precision)
     m = _DIGITS_RE.match(text)
     if m:
         if any(b is not None and int(b) != p for b in m.group("p", "q")):

@@ -118,15 +118,12 @@ def _verdict(rows: list[TraceRow], constant_is_limit: bool) -> Verdict:
 
 def probe_derivative(f: PadicFunction, a: PadicNumber,
                      seq: Iterable, steps: int) -> WitnessTrace:
-    """Trace of first difference quotients (f(x_n)-f(a))/(x_n-a).
+    """Trace of first difference quotients phi_r(f, (x_n, a)).
 
     ``seq`` yields ``(index, x)`` pairs with x distinct from a and
-    converging to it.
+    converging to it; each row evaluates f(a) again.
     """
-    rows = []
-    fa = f(a)
-    for n, x in islice(seq, steps):
-        rows.append(_row(n, (f(x) - fa) / _distinct(x, a)))
+    rows = [_row(n, phi_r(f, (x, a))) for n, x in islice(seq, steps)]
     return WitnessTrace(rows, _verdict(rows, constant_is_limit=True))
 
 

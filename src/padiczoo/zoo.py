@@ -18,7 +18,7 @@ from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     PadicNumber, _digit_io, ord_int, pow_one_plus
 from .families import IndexSet
 from .haar import Stream
-from .quotients import PadicFunction, TraceRow, WitnessTrace, \
+from .quotients import PadicFunction, TraceRow, WitnessTrace, phi_r, \
     probe_derivative, probe_strict
 from .vanderput import criterion_products, schedule_exponent
 
@@ -270,16 +270,15 @@ def thm34ii_gN(N: IndexSet, p: int,
     fn = PadicFunction(evaluate, p, precision)
 
     def claim_contraction(per_depth: int = 32, seed: int = 0) -> tuple:
-        # per_depth residue pairs at each depth below precision, read
-        # through evaluate's kernel, with v = v(x - y) read off the residues.
+        # per_depth residue pairs at each depth v below precision, read
+        # through evaluate's kernel, where v = v(x - y) is the pair's depth.
         # g is known mod p**(2 precision), so |g(x) - g(y)| <= p**-e for
         # e = v(S(x) - S(y)), or 2 precision if the spreads agree; its ratio
         # to |x - y|**2 is at most p**(2v - e), worst the largest exponent
         table, worst, depths = _spread_table(N, p, 0, precision), None, set()
-        for _, x, y in depth_pairs(Stream(seed), p, precision, islice(
+        for v, x, y in depth_pairs(Stream(seed), p, precision, islice(
                 cycle(range(precision)), per_depth * precision)):
             gx, gy = _spread(x, table), _spread(y, table)
-            v = ord_int(x - y, p)
             depths.add(v)
             excess = 2 * v - (2 * precision if gx == gy else ord_int(gx - gy, p))
             worst = excess if worst is None else max(worst, excess)
@@ -678,17 +677,18 @@ def cor15_gbeta(beta: PadicNumber, a: PadicNumber, p: int,
         scale = PadicNumber.from_rational(p ** n, p ** (n * n), p, precision)
         return scale * beta * pow_one_plus(y, beta - one, precision)
 
+    fn = PadicFunction(evaluate, p, precision)
+
     def claim_values_on_centers(limit: int = 6) -> tuple:
         for n in range(1, limit + 1):
             x = a + PadicNumber.from_int(p ** (n * n), p, precision + n * n)
-            got = evaluate(x)
+            got = fn(x)
             want = PadicNumber.from_int(p ** n, p, precision)
             if not got.agrees_with(want):
                 return False, {"n": n}
         return limit >= 1, {"limit": limit}
 
-    return ZooEntry(cor15_gbeta.__name__, p,
-                    PadicFunction(evaluate, p, precision),
+    return ZooEntry(cor15_gbeta.__name__, p, fn,
                     PadicFunction(derivative, p, precision),
                     claims={"center-values": claim_values_on_centers})
 
@@ -699,16 +699,15 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
     continuous everywhere, differentiable except at a, derivative unbounded
     both near and far from a."""
     one = PadicNumber.one(p, precision)
-    evaluate = linear_combination([thm16_fbeta(beta, p, precision),
-                                   cor15_gbeta(beta, a, p, precision)],
-                                  [one, one], precision).function
+    fn = linear_combination([thm16_fbeta(beta, p, precision),
+                             cor15_gbeta(beta, a, p, precision)],
+                            [one, one], precision).function
 
     def claim_quotient_growth(limit: int = 6) -> tuple:
-        fa = evaluate(a)
         for n in range(1, limit + 1):
             w = max(precision, n * n + n + 8)
             x = a + PadicNumber.from_int(p ** (n * n) + p ** (n * n + 1), p, w)
-            q = (evaluate(x) - fa) / (x - a)
+            q = phi_r(fn, (x, a))
             want = Fraction(p) ** (n * n - n)
             if q.abs_value() != want:
                 return False, {"n": n, "got": str(q.abs_value())}
@@ -716,7 +715,7 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
 
     def claim_continuity_at_center(limit: int = 5) -> tuple:
         # |x - a| < p^{1-n^2} must force |F(x)| <= p^-n
-        fa = evaluate(a)
+        fa = fn(a)
         checked = 0
         for n in range(1, limit + 1):
             for ball_n in range(n, n + 3):
@@ -726,12 +725,12 @@ def cor15_Fbeta(beta: PadicNumber, a: PadicNumber, p: int,
                 if (x - a).abs_value() >= Fraction(p) ** (1 - n * n):
                     continue
                 checked += 1
-                val = evaluate(x) - fa
+                val = fn(x) - fa
                 if val.norm_upper() > Fraction(p) ** (-n):
                     return False, {"n": n, "ball_n": ball_n}
         return checked > 0, {"limit": limit}
 
-    return ZooEntry(cor15_Fbeta.__name__, p, evaluate, claims={
+    return ZooEntry(cor15_Fbeta.__name__, p, fn, claims={
                         "quotient-growth": claim_quotient_growth,
                         "continuity-at-center": claim_continuity_at_center,
                     })
@@ -764,12 +763,15 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             raise InsufficientPrecision("the point may be 0")
         return PadicNumber.zero(p, precision)
 
+    fn = PadicFunction(evaluate, p, precision)
+    members = count if N is None else N.members
+
     def claim_ratio_growth(limit: int = 10) -> tuple:
         checked = 0
-        for n in _upto(N.members(1) if N is not None else count(1), limit):
+        for n in _upto(members(1), limit):
             x = PadicNumber.from_int(p ** (n * n), p,
                                      max(precision, n * n + 8))
-            fx = evaluate(x).abs_value()
+            fx = fn(x).abs_value()
             for alpha in (1, 2):
                 want = Fraction(p) ** ((-1 + alpha * n) * n)
                 if fx / x.abs_value() ** alpha != want:
@@ -784,13 +786,12 @@ def prop26_fN(N: Optional[IndexSet], p: int,
             h = PadicNumber.from_int(
                 p ** (abs(x.valuation) ** 2 + abs(x.valuation) + 2), p,
                 precision)
-            q = (evaluate(x + h) - evaluate(x)) / h
+            q = (fn(x + h) - fn(x)) / h
             if not q.is_zero_like:
                 return False, {"x": x.render()}
         return samples >= 1, {"samples": samples}
 
-    return ZooEntry(prop26_fN.__name__, p,
-                    PadicFunction(evaluate, p, precision),
+    return ZooEntry(prop26_fN.__name__, p, fn,
                     PadicFunction(derivative, p, precision), claims={
                         "ratio-growth": claim_ratio_growth,
                         "derivative-zero": claim_derivative_zero,
@@ -829,6 +830,8 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             return x.truncated(2 * pairs)
         return PadicNumber.from_int(r % p ** (2 * i), p, precision)
 
+    fn = PadicFunction(evaluate, p, precision, domain_tag="Zp")
+
     def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
                                  seed: int = 0) -> tuple:
         # the offsets y - x are drawn below p**(2 m_max + 2)
@@ -861,7 +864,7 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
         if precision < 14:
             raise InsufficientPrecision("deviation needs 14 digits")
         x = Stream(seed).no_zero_pair(p, precision)
-        one, fx = PadicNumber.one(p, precision), evaluate(x)
+        one = PadicNumber.one(p, precision)
         count = 0
         for n in range(steps):
             if 2 * n + 12 >= x.abs_precision:
@@ -869,16 +872,13 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             # copy pairs 0..n, zero out pair n+1, restart with a 1 digit
             xbar = PadicNumber.from_unit(
                 p, 0, x.residue(2 * n + 2) + p ** (2 * n + 4), x.abs_precision)
-            q = (fx - evaluate(xbar)) / (x - xbar)
-            dev = (q - one).norm_upper()
-            if (q - one).is_bounded_zero or dev < Fraction(p) ** -2:
+            dev = phi_r(fn, (x, xbar)) - one
+            if dev.is_bounded_zero or dev.norm_upper() < Fraction(p) ** -2:
                 return False, {"n": n}
             count += 1
         return count > 0, {"steps": count}
 
-    return ZooEntry(thm2_f.__name__, p,
-                    PadicFunction(evaluate, p, precision, domain_tag="Zp"),
-                    claims={
+    return ZooEntry(thm2_f.__name__, p, fn, claims={
                         "continuity-modulus": claim_continuity_modulus,
                         "deviation": claim_deviation,
                     })

@@ -1,3 +1,4 @@
+import itertools
 import operator
 from fractions import Fraction
 
@@ -375,6 +376,21 @@ def test_agrees_with_shared_precision():
     y = PadicNumber.from_int(10 + 81, p, 4)
     assert x.agrees_with(y)
     assert not x.agrees_with(PadicNumber.from_int(11, p, 4))
+    # at the boundary digit: operands x and x + p**s agree iff s is at least
+    # their shared precision, each exact or truncated (a bounded zero for a
+    # multiple of p**its precision), whichever is known further; so
+    # 0 (mod 3^5) is not 3^4 (mod 3^5).  An exact value with no digit below
+    # its precision is known to its leading digit, past the precision asked
+    kinds = (lambda v, k: PadicNumber.from_int(v, p, k),
+             lambda v, k: PadicNumber.from_unit(p, 0, v, k))
+    n = 5
+    for base, (low, high), s, make_x, make_y in itertools.product(
+            (0, 7), ((n, n), (n, n + 3), (n + 3, n)), (n - 1, n, n + 1),
+            kinds, kinds):
+        x, y = make_x(base, low), make_y(base + p ** s, high)
+        agree = s >= min(x.abs_precision, y.abs_precision)
+        assert x.agrees_with(y) is agree, (x, y)
+        assert y.agrees_with(x) is agree, (x, y)
 
 
 def test_pow_exact_only_when_series_terminates():

@@ -2,8 +2,8 @@ import functools
 import inspect
 import json
 from fractions import Fraction
-from itertools import product, takewhile
-from math import gcd
+from itertools import count, product, takewhile
+from math import gcd, isqrt
 from typing import Iterator
 
 import pytest
@@ -16,7 +16,7 @@ from padiczoo.core import DEFAULT_PRECISION, DomainError, \
     InsufficientPrecision, PadicNumber, ord_int, pow_one_plus
 from padiczoo.families import IndexSet, cell, generate_family
 from padiczoo.haar import Stream
-from padiczoo.quotients import PadicFunction
+from padiczoo.quotients import PadicFunction, phi_r
 from padiczoo.vanderput import criterion_products
 from padiczoo.zoo import (
     ENTRY_NAMES,
@@ -123,6 +123,14 @@ def test_thm34i_values():
     # zero-like inputs
     assert f(PadicNumber.zero(p)).is_exact_zero
     assert f(PadicNumber.bounded_zero(p, 10)).is_bounded_zero
+    # f is constant on ball n = p**n + p**(2n+1) Z_p: a step of valuation
+    # 2n + 1 leaves the quotient 0 on every ball below the precision
+    for q in (2, 3, 5, 7):
+        g = thm34i_fN(N, q).function
+        for n in takewhile(lambda n: 2 * n + 1 < DEFAULT_PRECISION, count(1)):
+            x = PadicNumber.from_int(q ** n + 2 * q ** (2 * n + 1), q)
+            h = PadicNumber.from_int(q ** (2 * n + 1), q)
+            assert phi_r(g, (x + h, x)).is_zero_like, (q, n)
 
 
 def test_thm34i_reads_the_ball_from_the_known_digits():
@@ -680,6 +688,15 @@ def test_prop26_values():
     assert f(PadicNumber.zero(p)).is_exact_zero
     with pytest.raises(DomainError):
         e.derivative(PadicNumber.zero(p))
+    # exactly p**n, not only of norm p**-n, at u p**(n^2) on every branch
+    # sphere below the precision; prop26's N holds the odd n
+    for q, (name, N) in product((2, 3, 5, 7), (("prop26", IndexSet(3, 0)),
+                                               ("prop26_g", None))):
+        f = build_entry(name, q).function
+        for n, u in product(range(1, isqrt(DEFAULT_PRECISION - 1) + 1),
+                            (1, q - 1, 1 + q * (q + 1))):
+            want = q ** n if N is None or n in N else 0
+            assert f(PadicNumber.from_int(u * q ** (n * n), q)).exact == want
 
 
 def test_prop26_claims():
@@ -705,6 +722,16 @@ def test_prop26_derivative_off_zero(name):
         assert ((e.function(x + h) - e.function(x)) / h).is_zero_like
     with pytest.raises(InsufficientPrecision):
         e.derivative(PadicNumber.bounded_zero(p, 9))
+    # f reads only v(x), so a step of valuation v + 1 leaves the quotient 0
+    # at every valuation v below the precision, on each branch sphere too
+    for q in (2, 3, 5, 7):
+        f = build_entry(name, q).function
+        for v in range(-3, DEFAULT_PRECISION):
+            x = PadicNumber.from_unit(q, v, 1 + q * (q - 1),
+                                      DEFAULT_PRECISION + 1)
+            h = PadicNumber.from_rational(q ** max(v + 1, 0),
+                                          q ** max(-v - 1, 0), q)
+            assert phi_r(f, (x + h, x)).is_zero_like, (q, v)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
