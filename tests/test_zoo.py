@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import count, product, takewhile
 from math import gcd, isqrt
@@ -699,11 +700,32 @@ def test_prop26_values():
             assert f(PadicNumber.from_int(u * q ** (n * n), q)).exact == want
 
 
-def test_prop26_claims():
+def test_prop26_claims(monkeypatch, capsys):
+    drawn = []
+    nonzero = Stream.nonzero
+
+    def spy(self, p, precision, valuation_range=(-4, 5)):
+        x = nonzero(self, p, precision, valuation_range)
+        drawn.append(x.valuation)
+        return x
+
+    monkeypatch.setattr(Stream, "nonzero", spy)
     for name in ("prop26", "prop26_g"):
         e = build_entry(name, 3)
         assert e.run_claim("ratio-growth", limit=8).passed
         assert e.run_claim("derivative-zero", samples=150).passed
+        # the default size draws four points at every valuation from -4 to
+        # below the precision: the spheres n >= 3 (v = 9, 25, 49) among them
+        drawn.clear()
+        got = e.run_claim("derivative-zero")
+        assert got.passed and got.details == {"samples": 272}
+        assert Counter(drawn) == {v: 4 for v in range(-4, DEFAULT_PRECISION)}
+        # and at the CLI's least precision, where a step p**(v + 1) stays
+        # inside the known digits of a point of valuation v
+        for p in (2, 3, 101):
+            assert main(["--prime", str(p), "--precision", "8", "verify",
+                         name, "derivative-zero"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"]
 
 
 @pytest.mark.parametrize("name", ["prop26", "prop26_g"])
@@ -1467,6 +1489,36 @@ def test_contraction_fails_on_a_kernel_broken_past_a_deep_digit(
                         _deep_digit_mutant(zoo._spread_table, first))
     got = build_entry("thm34ii", p).run_claim("contraction")
     assert not got.passed and set(got.details) == {"x", "y"}
+
+
+def _sphere_mutant(padic_function):
+    """``PadicFunction`` that wraps ``prop26_fN``'s evaluator, as it is
+    built, so that its value p**n on each sphere |x| = p**-(n^2) with
+    n >= 3 becomes p**n (1 + x): a derivative p**n there, where it is 0."""
+
+    def build(evaluator, *args, **kwargs):
+        def mutant(x):
+            y = evaluator(x)
+            return y if y.is_zero_like or x.valuation < 9 else y + y * x
+
+        wrap = evaluator.__qualname__ == "prop26_fN.<locals>.evaluate"
+        return padic_function(mutant if wrap else evaluator, *args, **kwargs)
+
+    return build
+
+
+@pytest.mark.parametrize("name", ["prop26", "prop26_g"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_derivative_zero_fails_on_a_sphere_mutant(monkeypatch, p, name):
+    # the mutant keeps every norm at the witness points p**(n^2); draws at
+    # valuation -4..4 alone never reach sphere 3, at valuation 9
+    monkeypatch.setattr(zoo, "PadicFunction",
+                        _sphere_mutant(zoo.PadicFunction))
+    e = build_entry(name, p)
+    x = PadicNumber.from_unit(p, 9, 1, 80)
+    assert e.function(x).exact is None
+    got = e.run_claim("derivative-zero")
+    assert not got.passed and set(got.details) == {"x"}
 
 
 def test_claims_refuse_bad_sizes():
