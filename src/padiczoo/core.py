@@ -183,10 +183,7 @@ class PadicNumber:
     def digit(self, i: int) -> int:
         """Base-p digit at position ``i`` (coefficient of p**i)."""
         if i >= self.abs_precision:
-            if self.exact is not None:
-                return self.at_precision(i + 1).digit(i)
-            raise InsufficientPrecision(
-                f"digit {i} unknown at precision {self.abs_precision}")
+            return self.at_precision(i + 1).digit(i)
         if i < self.valuation:
             return 0
         return (self.unit // self.prime ** (i - self.valuation)) % self.prime
@@ -194,10 +191,7 @@ class PadicNumber:
     def residue(self, k: int) -> int:
         """The value modulo p**k as an integer in [0, p**k); needs valuation >= 0."""
         if k > self.abs_precision:
-            if self.exact is not None:
-                return self.at_precision(k).residue(k)
-            raise InsufficientPrecision(
-                f"residue mod p^{k} unknown at precision {self.abs_precision}")
+            return self.at_precision(k).residue(k)
         if self.unit == 0:
             return 0
         if self.valuation < 0:
@@ -207,12 +201,12 @@ class PadicNumber:
     # -- precision management ----------------------------------------------
 
     def at_precision(self, n: int) -> "PadicNumber":
-        """The same value presented modulo p**n (re-expands exact values)."""
+        """The value mod p**n: exact values re-expand, others refuse to."""
         if self.exact is not None:
             return _from_exact(self.prime, self.exact, n)
         if n > self.abs_precision:
             raise InsufficientPrecision(
-                f"cannot refine precision {self.abs_precision} to {n}")
+                f"digit {n - 1} unknown at precision {self.abs_precision}")
         return _make(self.prime, self.valuation, self.unit, n)
 
     def truncated(self, n: int) -> "PadicNumber":
@@ -273,8 +267,6 @@ class PadicNumber:
             keep, s = (other, sign) if self.is_bounded_zero else (self, 1)
             return _make(p, keep.valuation, s * keep.unit, n)
         v0 = min(self.valuation, other.valuation)
-        if n <= v0:
-            raise InsufficientPrecision("no shared digits in sum")
         a = self.unit * p ** (self.valuation - v0)
         b = other.unit * p ** (other.valuation - v0)
         ex = None

@@ -162,6 +162,8 @@ def _binomial_report(p: int, samples: int, seed: int, statistic: str,
                      **extras) -> MCReport:
     """Estimate hits / trials with the error bar of the null hypothesis
     "the rate is target", which stays positive when no trial hits."""
+    if samples < 1:
+        raise DomainError("need at least one sample")
     trials = trials or samples
     est = hits / trials
     q = 1 - target
@@ -178,6 +180,7 @@ def _pair_flags(p: int, s: int):
     block b and a sequence of at most CHUNK draws whose result holds, at
     byte 32 * n + 8 * j + 7, 0 iff pair j of block b of the n-th draw is
     (0, 0)."""
+    _check_prime_fits(p)
     # word x = 0 mod p iff x * c mod 2**32 <= limit; p = 2 has no inverse
     # mod 2**32, but c = 2**31 moves its parity bit to the top
     c, limit = ((2 ** 31, 0) if p == 2 else
@@ -219,9 +222,6 @@ def _zero_pair_count(p: int, n_pairs: int, samples: int, s: int) -> int:
 
 def estimate_Y0(p: int, samples: int, seed: int) -> MCReport:
     """P[first digit pair is (0,0)]; target 1/p**2."""
-    _check_prime_fits(p)
-    if samples < 1:
-        raise DomainError("need at least one sample")
     hits = _zero_pair_count(p, 1, samples, seed & _SEED_MASK)
     return _binomial_report(p, samples, seed, "Y0", hits, 1 / p ** 2)
 
@@ -241,11 +241,8 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
     survives k pairs iff it stops at k or later, so the survivor counts are
     suffix sums of stops and the estimates are monotone by construction.
     """
-    _check_prime_fits(p)
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    if samples < 1:
-        raise DomainError("need at least one sample")
     flags, spans = _pair_flags(p, seed & _SEED_MASK), _spans(k_max)
     stops = [0] * (k_max + 1)
     for first in range(0, samples, CHUNK):
@@ -271,11 +268,8 @@ def estimate_E_prefix_series(p: int, k_max: int, samples: int,
 
 def slln_report(p: int, n_pairs: int, samples: int, seed: int) -> MCReport:
     """Mean zero-pair fraction over the first n_pairs pairs; target 1/p**2."""
-    _check_prime_fits(p)
     if n_pairs < 1:
         raise DomainError("need at least one pair")
-    if samples < 1:
-        raise DomainError("need at least one sample")
     total = _zero_pair_count(p, n_pairs, samples, seed & _SEED_MASK)
     # pairs within a draw are independent under Haar measure, so the
     # aggregate count is binomial over samples * n_pairs trials

@@ -62,6 +62,9 @@ def test_eval_reads_rendered_literals(capsys, p, literal, want):
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--prime", "9", "list"]) == 2  # not a prime
+    assert main(["eval", "thm34i", "--set", "1,2,3", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and 'expected "k,bit"' in err
 
 
 @pytest.mark.parametrize("argv, err", [

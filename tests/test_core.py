@@ -162,6 +162,20 @@ def test_division_contracts():
     assert (x / x).agrees_with(PadicNumber.one(p))
 
 
+def test_operations_refuse_operands_of_two_primes():
+    def kinds(p):
+        return (PadicNumber.from_int(p, p, 8),
+                PadicNumber.from_unit(p, 1, 2, 8),
+                PadicNumber.zero(p, 8), PadicNumber.bounded_zero(p, 8))
+
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           PadicNumber.agrees_with, pow_one_plus)
+    for op, x, y in itertools.product(ops, kinds(3), kinds(5)):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DomainError, match="prime mismatch"):
+                op(a, b)
+
+
 def test_mul_by_bounded_zero():
     p = 3
     b = PadicNumber.bounded_zero(p, 8)
@@ -172,7 +186,8 @@ def test_mul_by_bounded_zero():
 
 # -- digit I/O: the chunk kernel against the per-digit reference ------------
 
-_IO_PRIMES = (2, 3, 5, 7, 11, 101, 7919)
+# from p = 32768 on, p**2 >= 2**30 and a limb is one digit
+_IO_PRIMES = (2, 3, 5, 7, 11, 101, 7919, 65537, 2 ** 61 - 1)
 
 
 def _chunk_lengths(p: int) -> list[int]:
@@ -323,10 +338,37 @@ def test_ultrametric(p, data):
 
 
 def test_digit_reexpansion():
+    for p in (2, 3, 5, 7):
+        _check_reexpansion(p)
+
+
+def _check_reexpansion(p: int) -> None:
     # exact values re-expand on demand beyond the presented window
-    x = PadicNumber.from_rational(1, 1 - 5, 5, 8)
+    x = PadicNumber.from_rational(1, 1 - p, p, 8)
     wide = x.at_precision(40)
     assert all(wide.digit(i) == 1 for i in range(40))
+    q = Fraction(-22, 13)
+    exact = (PadicNumber.from_rational(-22, 13, p, 8), PadicNumber.zero(p, 8))
+    for x, k in itertools.product(exact, (9, 12, 40)):
+        want = q.numerator * pow(q.denominator, -1, p ** k) % p ** k \
+            if x.exact else 0
+        assert x.residue(k) == x.at_precision(k).residue(k) == want
+        assert x.digit(k - 1) == want // p ** (k - 1)
+    # an inexact value has no digit past its precision, whichever read
+    # asks for it: a truncation, a unit, a bounded zero
+    inexact = (exact[0].truncated(8), PadicNumber.from_unit(p, 2, 5, 8),
+               PadicNumber.bounded_zero(p, 8))
+    assert inexact[0].residue(8) == exact[0].residue(8)
+    for x, k in itertools.product(inexact, (9, 12, 40)):
+        unknown = f"digit {k - 1} unknown at precision 8"
+        for read in (x.residue, x.at_precision, lambda k: x.digit(k - 1)):
+            with pytest.raises(InsufficientPrecision, match=unknown):
+                read(k)
+    # residues are of p-adic integers only
+    for x in (PadicNumber.from_rational(1, p, p, 8),
+              PadicNumber.from_unit(p, -2, 1, 8)):
+        with pytest.raises(DomainError, match="p-adic integers only"):
+            x.residue(3)
 
 
 def test_truncated_refines():
@@ -368,6 +410,13 @@ def test_pow_rejects_bad_domain():
     with pytest.raises(InsufficientPrecision):
         # no digit of y is known, so y may lie outside pZ_p
         pow_one_plus(PadicNumber.bounded_zero(p, 0), unit)
+    # no digit of the value is asked for
+    for y, n in itertools.product((PadicNumber.from_int(3, p),
+                                   PadicNumber.from_unit(p, 1, 1, 8)),
+                                  (0, -1, -5)):
+        with pytest.raises(InsufficientPrecision,
+                           match="value has no known digits"):
+            pow_one_plus(y, PadicNumber.from_rational(1, 7, p), n)
 
 
 def test_agrees_with_shared_precision():
@@ -635,3 +684,60 @@ def test_sub_is_the_sum_with_the_negation(p, data):
         outcome(lambda: op(x, y))
     except DomainError:
         assert op is operator.truediv and y.is_exact_zero
+
+
+# --- the normal form every constructor and operation leaves ----------------
+
+def _constructed(p: int):
+    """Values of every state from each of core's constructors."""
+    ints, v, n = st.integers(-p ** 12, p ** 12), st.integers(-6, 6), \
+        st.integers(-4, 40)
+    built = st.one_of(
+        st.builds(PadicNumber.from_rational, ints, st.integers(1, p ** 6),
+                  st.just(p), n),
+        st.builds(PadicNumber.from_int, ints, st.just(p), n),
+        st.builds(lambda v, ds, n: PadicNumber.from_digits(p, v, ds, n), v,
+                  st.lists(st.integers(0, p - 1), max_size=12), n),
+        st.builds(lambda v, u, n: PadicNumber.from_unit(p, v, u, n), v, ints,
+                  n),
+        st.builds(PadicNumber.zero, st.just(p), n),
+        st.builds(PadicNumber.bounded_zero, st.just(p), n))
+    texts = st.one_of(ints.map(str), v.map("p^{}".format),
+                      built.map(PadicNumber.render))
+    return built | st.builds(parse_padic, texts, st.just(p), n)
+
+
+def _assert_normal(x: PadicNumber) -> None:
+    """A nonzero value has its leading digit below its precision and a unit
+    prime to p, reduced mod p**(its known digits); a zero state has no
+    digit below its precision."""
+    if x.unit == 0:
+        assert x.valuation == x.abs_precision, _state(x)
+    else:
+        rel = x.abs_precision - x.valuation
+        assert rel > 0 and x.unit % x.prime != 0, _state(x)
+        assert 0 < x.unit < x.prime ** rel, _state(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_every_value_is_in_normal_form(p, data):
+    values = [data.draw(_constructed(p), label="x") for _ in range(2)]
+    for x in values:
+        _assert_normal(x)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "**": lambda x, k: x ** (k % 5),
+           "neg": lambda x, k: -x, "at_precision": PadicNumber.at_precision,
+           "truncated": PadicNumber.truncated}
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        name = data.draw(st.sampled_from(sorted(ops)), label="op")
+        x = data.draw(st.sampled_from(values), label="operand")
+        binary = name in ("+", "-", "*", "/")
+        other = data.draw(st.sampled_from(values) if binary
+                          else st.integers(-4, 40), label="other")
+        try:
+            r = ops[name](x, other)
+        except (DomainError, InsufficientPrecision):
+            continue
+        _assert_normal(r)
+        values.append(r)

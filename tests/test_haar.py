@@ -213,22 +213,27 @@ def test_report_json_schema():
 
 
 def test_input_validation():
-    with pytest.raises(DomainError):
-        estimate_Y0(3, 0, 0)
-    with pytest.raises(DomainError):
+    for samples in (0, -1, -CHUNK - 1):
+        with pytest.raises(DomainError, match="at least one sample"):
+            estimate_Y0(3, samples, 0)
+        with pytest.raises(DomainError, match="at least one sample"):
+            estimate_E_prefix_series(3, 2, samples, 0)
+        with pytest.raises(DomainError, match="at least one sample"):
+            slln_report(3, 2, samples, 0)
+    with pytest.raises(DomainError, match="k_max"):
         estimate_E_prefix_series(3, 0, 10, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="at least one pair"):
         slln_report(3, 0, 10, 0)
     # digits are 32-bit words reduced mod p: larger primes are refused, and
     # so is a non-prime, whose residues are no statistic of Z_p
     big = 4294967311  # the least prime above 2**32
     for p in (big, 0, 1, 4, 6, 9, 2 ** 32 - 1):
-        with pytest.raises(DomainError):
-            estimate_Y0(p, 10, 0)
-        with pytest.raises(DomainError):
-            estimate_E_prefix_series(p, 2, 10, 0)
-        with pytest.raises(DomainError):
-            slln_report(p, 2, 10, 0)
+        for estimate in (lambda: estimate_Y0(p, 10, 0),
+                         lambda: estimate_E_prefix_series(p, 2, 10, 0),
+                         lambda: slln_report(p, 2, 10, 0),
+                         lambda: _pair_flags(p, 0)):
+            with pytest.raises(DomainError, match="not a prime below 2"):
+                estimate()
     assert estimate_Y0(4294967291, 10, 0).within(3.0)  # below 2**32
 
 

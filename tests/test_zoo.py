@@ -149,6 +149,12 @@ def test_thm34i_reads_the_ball_from_the_known_digits():
     # an exact point decides with all its digits
     assert f(PadicNumber.from_rational(p, 1 - p ** 2, p, 2)).render() \
         .startswith("1 * 5^2")
+    # also where its ball needs 2n + 1 digits, past the entry's precision
+    for q, n in product((2, 3, 5), (5, 7)):
+        g = build_entry("thm34i", q, 8).function
+        assert g(PadicNumber.from_int(q ** n, q, 8)).exact == q ** (2 * n)
+        off = PadicNumber.from_int(q ** n + q ** (2 * n), q, 8)
+        assert g(off).is_exact_zero, (q, n)
 
 
 def test_thm34i_claims():
@@ -531,6 +537,14 @@ def test_poly_combine_validation():
                                Monomial(one, (1, 0))])  # duplicate
     with pytest.raises(DomainError):
         poly_combine(entries, [Monomial(PadicNumber.zero(p), (1, 0))])
+    with pytest.raises(DomainError, match="at least one monomial"):
+        poly_combine(entries, [])
+    # shells whose exponents cancel in a monomial
+    shells = [thm16_fbeta(PadicNumber.from_int(b, p), p) for b in (2, -1)]
+    for e in ((1, 2), (2, 4)):
+        with pytest.raises(DomainError,
+                           match="aggregate exponents must be nonzero"):
+            poly_combine(shells, [Monomial(one, e)])
     with pytest.raises(DomainError, match="one prime"):  # no common point
         poly_combine([build_entry("thm34i", p), build_entry("thm2_f", 5)],
                      [Monomial(one, (1, 1))])
@@ -885,6 +899,8 @@ def test_linear_combination_is_the_degree_one_polynomial():
     assert comb.derivative(x) == want
     with pytest.raises(DomainError):  # repeated shell exponents
         linear_combination([shells[0], shells[0]], [two, one])
+    with pytest.raises(DomainError, match="one coefficient per entry"):
+        linear_combination(steps, [two])
 
 
 def test_linear_combination_keeps_the_digits_of_exact_one_terms():
