@@ -190,6 +190,8 @@ class PadicNumber:
 
     def residue(self, k: int) -> int:
         """The value modulo p**k as an integer in [0, p**k); needs valuation >= 0."""
+        if k < 0:
+            raise DomainError(f"no residue modulo p**{k}")
         if k > self.abs_precision:
             return self.at_precision(k).residue(k)
         if self.unit == 0:

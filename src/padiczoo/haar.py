@@ -68,8 +68,7 @@ class Stream:
     estimator hashes.  Each draw ``below(n)`` reduces enough blocks for
     bits(n) + 64 bits mod n, so it is within statistical distance 2**-64 of
     uniform on [0, n).  A point takes all its digits from one such draw,
-    and a zero residue gives a bounded zero; the sampled claims that work
-    on residues draw their pairs from ``below`` through ``zoo.depth_pairs``.
+    and a zero residue gives a bounded zero.
     """
 
     def __init__(self, seed: int):

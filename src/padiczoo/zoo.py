@@ -38,7 +38,7 @@ class ClaimResult:
 
 
 # claim size parameters that must be positive; other integer sizes may be 0
-_SIZE_FLOORS = {"m_max": 1, "threshold": 1}
+_SIZE_FLOORS = {"threshold": 1}
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,22 @@ def _probe_claim(trace: WitnessTrace, row_ok: Callable[[TraceRow], bool],
     return passed, {"steps": len(trace.rows), **shown}
 
 
-def depth_pairs(draw: Stream, p: int, precision: int,
-                depths: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """Pairs (k, x, y) at depths 0 <= k <= precision: x is uniform mod
-    p**precision and y = x + p**k z mod p**precision for a uniform unit z,
-    so v(y - x) = k below precision, and y = x at precision."""
-    below, top = draw.below, p ** precision
-    # p**k and the number of units mod p**(precision - k), 1 at k = precision
-    steps = [(p ** k, p ** (precision - k) * (p - 1) // p or 1)
-             for k in range(precision + 1)]
-    for k in depths:
-        x, (step, units) = below(top), steps[k]
-        rest, lead = divmod(below(units), p - 1)  # z = lead + 1 + p rest
-        yield k, x, (x + step * (lead + 1 + p * rest)) % top
+def modulus(fn, omega, first, per_depth: int = 32, seed: int = 0) -> tuple:
+    """At ``per_depth`` drawn x and each depth k from ``first`` below the
+    precision, f at x mod p**k is known to omega(k) digits and agrees with
+    f(x).  Since an answer agrees with the answer at every refinement of its
+    input, this is |f(x) - f(y)| <= p**-omega(k) whenever x = y mod p**k."""
+    p, precision = fn.prime, fn.precision
+    draw, depths = Stream(seed), range(first, precision)
+    for _ in range(per_depth):
+        x = draw.zp(p, precision)
+        fx = fn(x)
+        for k in depths:
+            fk = fn(x.truncated(k))
+            if fk.abs_precision < omega(k) or not fk.agrees_with(fx):
+                return False, {"k": k, "x": x.render()}
+    return per_depth * len(depths) > 0, {"per_depth": per_depth,
+                                         "depths": len(depths)}
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +272,10 @@ def thm34ii_gN(N: IndexSet, p: int,
 
     fn = PadicFunction(evaluate, p, precision)
 
-    def claim_contraction(per_depth: int = 32, seed: int = 0) -> tuple:
-        # per_depth residue pairs at each depth v below precision, read
-        # through evaluate's kernel, where v = v(x - y) is the pair's depth.
-        # g is known mod p**(2 precision), so |g(x) - g(y)| <= p**-e for
-        # e = v(S(x) - S(y)), or 2 precision if the spreads agree; its ratio
-        # to |x - y|**2 is at most p**(2v - e), worst the largest exponent
-        table, worst, depths = _spread_table(N, p, 0, precision), None, set()
-        for v, x, y in depth_pairs(Stream(seed), p, precision, islice(
-                cycle(range(precision)), per_depth * precision)):
-            gx, gy = _spread(x, table), _spread(y, table)
-            depths.add(v)
-            excess = 2 * v - (2 * precision if gx == gy else ord_int(gx - gy, p))
-            worst = excess if worst is None else max(worst, excess)
-            if excess > 0:
-                return False, {
-                    "x": PadicNumber.from_unit(p, 0, x, precision).render(),
-                    "y": PadicNumber.from_unit(p, 0, y, precision).render()}
-        ratio = 0.0 if worst is None else float(Fraction(p) ** worst)
-        return bool(depths), {"per_depth": per_depth, "depths": len(depths),
-                              "worst_ratio": ratio}
-
+    # |g(x) - g(y)| <= |x - y|**2; g refuses a point with no digit known
     return ZooEntry(thm34ii_gN.__name__, p, fn, _zero_derivative(fn), claims={
-                        "contraction": claim_contraction,
+                        "contraction": functools.partial(
+                            modulus, fn, lambda k: 2 * k, 1),
                         "order2-witness": functools.partial(
                             order2_witness, fn, N.members,
                             PadicNumber.one(p, precision), precision),
@@ -831,33 +815,6 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
 
     fn = PadicFunction(evaluate, p, precision, domain_tag="Zp")
 
-    def claim_continuity_modulus(pairs: int = 10_000, m_max: int = 10,
-                                 seed: int = 0) -> tuple:
-        # the offsets y - x are drawn below p**(2 m_max + 2)
-        if 2 * m_max + 2 > precision:
-            raise InsufficientPrecision(
-                f"continuity modulus up to m = {m_max} needs "
-                f"{2 * m_max + 2} digits")
-        # residues x, y at depth 2m+2 (y = x at 2m+2 = precision), read
-        # through evaluate's zero-pair kernel, which scans every pair f reads.
-        # f(r) is exact, r mod p**2i before r's first zero pair i, or else r
-        # known mod p**(2 half); every precision is at least 2m+2, so
-        # |f(x) - f(y)| < p**-(2m+1) iff the integers agree mod p**(2m+2)
-        half = precision // 2
-        mods = [p ** (2 * i) for i in range(half + 1)]
-
-        def f(r: int) -> int:
-            i = _first_zero_pair(r, p, half)
-            return r % mods[half if i is None else i]
-
-        for k, x, y in depth_pairs(Stream(seed), p, precision, islice(
-                cycle(range(4, 2 * m_max + 3, 2)), pairs)):
-            if (f(x) - f(y)) % mods[k // 2]:
-                return False, {
-                    "m": k // 2 - 1,
-                    "x": PadicNumber.from_unit(p, 0, x, precision).render()}
-        return pairs > 0, {"pairs": pairs, "m_max": m_max}
-
     def claim_deviation(steps: int = 10, seed: int = 0) -> tuple:
         # the first step needs 13 digits, and the point has 2*(precision//2)
         if precision < 14:
@@ -877,8 +834,11 @@ def thm2_f(p: int, precision: int = DEFAULT_PRECISION) -> ZooEntry:
             count += 1
         return count > 0, {"steps": count}
 
+    # f answers the 2 (k // 2) digits of the pairs it reads, and refuses
+    # a point with no whole pair known
     return ZooEntry(thm2_f.__name__, p, fn, claims={
-                        "continuity-modulus": claim_continuity_modulus,
+                        "continuity-modulus": functools.partial(
+                            modulus, fn, lambda k: k - k % 2, 2),
                         "deviation": claim_deviation,
                     })
 

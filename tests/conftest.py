@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -28,6 +29,21 @@ def assert_cli_golden(capsys, argvs, digest: str, exits: str) -> None:
     names = "; ".join(" ".join(argv) for argv in argvs[:3])
     more = f" and {len(argvs) - 3} more" if len(argvs) > 3 else ""
     assert h.hexdigest() == digest, f"stdout changed: padiczoo {names}{more}"
+
+
+def depth_pairs(draw: Stream, p: int, precision: int,
+                depths: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Pairs (k, x, y) at depths 0 <= k <= precision: x is uniform mod
+    p**precision and y = x + p**k z mod p**precision for a uniform unit z,
+    so v(y - x) = k below precision, and y = x at precision."""
+    below, top = draw.below, p ** precision
+    # p**k and the number of units mod p**(precision - k), 1 at k = precision
+    steps = [(p ** k, p ** (precision - k) * (p - 1) // p or 1)
+             for k in range(precision + 1)]
+    for k in depths:
+        x, (step, units) = below(top), steps[k]
+        rest, lead = divmod(below(units), p - 1)  # z = lead + 1 + p rest
+        yield k, x, (x + step * (lead + 1 + p * rest)) % top
 
 
 def reference_lip_rows(N, p: int, n_limit: int):

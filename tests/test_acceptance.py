@@ -6,12 +6,12 @@ clock budgets."""
 import time
 from itertools import product
 
+from conftest import depth_pairs
 from padiczoo.core import PadicNumber, pow_one_plus
 from padiczoo.families import CellEnumerator, IndexSet, cell, generate_family
 from padiczoo.zoo import (
     Monomial,
     build_entry,
-    depth_pairs,
     derivative_at_zero,
     linear_combination,
     order2_witness,
@@ -184,7 +184,7 @@ def test_criterion_07_sphere_ratios():
 def test_criterion_08_truncation_function():
     t0 = time.monotonic()
     f = build_entry("thm2_f", 3)
-    r1 = f.run_claim("continuity-modulus", pairs=10_000, m_max=10)
+    r1 = f.run_claim("continuity-modulus")
     r2 = f.run_claim("deviation", steps=10)
     g = build_entry("thm2_g", 3)
     r3 = g.run_claim("quotient-norm-one", limit=40)

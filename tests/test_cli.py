@@ -424,7 +424,7 @@ def test_thm16_refuses_literal_without_digit_zero(capsys):
 
 
 @pytest.mark.parametrize("precision, claim, need", [
-    ("16", "continuity-modulus", 22), ("13", "deviation", 14)])
+    ("13", "deviation", 14)])
 def test_thm2_f_claims_refuse_short_precision(capsys, precision, claim,
                                                need):
     code, out, err = run(capsys, "--precision", precision, "verify",

@@ -110,7 +110,7 @@ GOLDEN = {
         "66f3873d23984c5f0fa334982d4642e1140cef74988959f5c71cb5b71b7c6968",
         "00"),
     (3, "verify"): (
-        "ec79ea7ed74c6e9e2a355ec93a397d21f19b8347aaec730ea05dfb041970bd26",
+        "c7ec27cd7ee120497905354ec766f0ecebde6ce39b75b2ae9c8ca5d293dca341",
         "0000000000000000000"),
     (3, "verify-unseeded-set"): (
         "af42edda5c68fb9355e0c473535d32482207404544a738bc718a3a0e48f1e749",

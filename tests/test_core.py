@@ -369,6 +369,10 @@ def _check_reexpansion(p: int) -> None:
               PadicNumber.from_unit(p, -2, 1, 8)):
         with pytest.raises(DomainError, match="p-adic integers only"):
             x.residue(3)
+    # and modulo p**k for k >= 0, whatever the value's state
+    for x in (PadicNumber.from_int(7, p), *exact, *inexact):
+        with pytest.raises(DomainError, match="no residue"):
+            x.residue(-1)
 
 
 def test_truncated_refines():

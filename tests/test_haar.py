@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import depth_pairs
 import padiczoo
 import padiczoo.haar as haar
 from padiczoo.core import DomainError
@@ -26,7 +27,6 @@ from padiczoo.haar import (
     estimate_Y0,
     slln_report,
 )
-from padiczoo.zoo import depth_pairs
 
 
 # --- the reference reader: each draw expanded digit by digit -----------------

@@ -3,12 +3,17 @@ its first difference quotients from ``phi_r``.  No nested ``claim_*`` def
 in ``zoo.py`` reads a sibling def that its builder wraps in
 ``PadicFunction``, since calling the raw evaluator skips the gate; and none
 divides by hand a difference of the entry's function, the one its builder
-passes to ``ZooEntry``, since ``phi_r`` is the one Phi_1 path."""
+passes to ``ZooEntry``, since ``phi_r`` is the one Phi_1 path.  At run
+time, every registered claim calls its entry's function, apart from a named
+few that read something else."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import padiczoo
+from padiczoo.quotients import PadicFunction
+from padiczoo.zoo import ENTRY_NAMES, build_entry
 
 
 def _claims(src: str):
@@ -129,3 +134,37 @@ def keyword_builder(p):
 '''
     assert hand_quotients(src) == ["builder.claim_hand",
                                    "keyword_builder.claim_hand"]
+
+
+# the registered claims that call no function of their entry, and why
+READ_NO_FUNCTION = {
+    "lip_fN n1-decay": "reads the coefficient schedule the builder puts "
+                       "into f, not f",
+    "lip_fN lip2-unbounded": "reads the coefficient schedule the builder "
+                             "puts into f, not f",
+    "thm16 unbounded-derivative": "reads only the closed-form derivative",
+}
+
+
+def test_claims_call_their_entry_function(monkeypatch):
+    # every integer size is cut to at most 8, which leaves each claim at
+    # least one point to evaluate
+    called, call = [], PadicFunction.__call__
+
+    def spy(self, x):
+        called.append(self)
+        return call(self, x)
+
+    monkeypatch.setattr(PadicFunction, "__call__", spy)
+    silent = []
+    for name in ENTRY_NAMES:
+        entry = build_entry(name, 3)
+        for claim, body in entry.claims.items():
+            sizes = {key: min(param.default, 8) for key, param
+                     in inspect.signature(body).parameters.items()
+                     if key != "seed" and isinstance(param.default, int)}
+            called.clear()
+            entry.run_claim(claim, **sizes)
+            if not any(f is entry.function for f in called):
+                silent.append(f"{name} {claim}")
+    assert silent == list(READ_NO_FUNCTION)

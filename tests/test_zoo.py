@@ -10,7 +10,8 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ball_exponent, decompose, reference_lip_rows
+from conftest import ball_exponent, decompose, depth_pairs, \
+    reference_lip_rows
 import padiczoo.zoo as zoo
 from padiczoo.cli import _decimal, main
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
@@ -27,7 +28,6 @@ from padiczoo.zoo import (
     build_entry,
     cor15_Fbeta,
     cor15_gbeta,
-    depth_pairs,
     derivative_at_zero,
     linear_combination,
     lip_coefficient_rows,
@@ -816,19 +816,13 @@ def test_thm2_f_cases():
 
 def test_thm2_f_claims():
     e = build_entry("thm2_f", 3)
-    assert e.run_claim("continuity-modulus", pairs=800).passed
+    assert e.run_claim("continuity-modulus", per_depth=8).passed
     assert e.run_claim("deviation", steps=8).passed
 
 
 def test_thm2_f_claims_refuse_short_precision():
-    # the offsets of modulus m are drawn below p^(2m+2), and the first
-    # deviation step reads 13 digits of a point with 2*(precision//2)
-    with pytest.raises(InsufficientPrecision, match="needs 66 digits"):
-        build_entry("thm2_f", 3).run_claim("continuity-modulus", m_max=32)
-    e = build_entry("thm2_f", 3, 21)
-    with pytest.raises(InsufficientPrecision, match="needs 22 digits"):
-        e.run_claim("continuity-modulus", pairs=50)
-    assert e.run_claim("continuity-modulus", pairs=50, m_max=9).passed
+    # the first deviation step reads 13 digits of a point with
+    # 2*(precision//2)
     with pytest.raises(InsufficientPrecision, match="needs 14 digits"):
         build_entry("thm2_f", 3, 13).run_claim("deviation")
     r = build_entry("thm2_f", 3, 14).run_claim("deviation")
@@ -1311,7 +1305,7 @@ SAMPLED_CLAIMS = [
     ("thm16", "zero-on-pzp", {"samples": 40}),
     ("prop26", "derivative-zero", {"samples": 100}),
     ("prop26_g", "derivative-zero", {"samples": 100}),
-    ("thm2_f", "continuity-modulus", {"pairs": 150}),
+    ("thm2_f", "continuity-modulus", {"per_depth": 2}),
     ("thm2_f", "deviation", {"steps": 6}),
 ]
 
@@ -1353,65 +1347,39 @@ def test_sampled_claims_fail_on_no_draws(entry, claim, size):
     assert not e.run_claim(claim, **{k: 0 for k in size}).passed
 
 
-def _pair_at_depth(draw, p, k, precision):
-    """Points x and y = x + p**k z known mod p**precision, from a ``zp`` draw
-    and a draw of the unit z: leading digit 1..p-1 and the digits after it
-    from one draw below (p - 1) p**(precision - k - 1).  At k = precision
-    the second draw is below 1, and y = x."""
-    x = draw.zp(p, precision)
-    if k == precision:
-        return x, x + draw.zp(p, precision, min_valuation=k)
-    rest, lead = divmod(draw.below((p - 1) * p ** (precision - k - 1)), p - 1)
-    return x, x + PadicNumber.from_unit(p, k, lead + 1 + p * rest, precision)
+def _modulus_fraction(claim, evaluate, p, precision, omega, first,
+                      per_depth, seed):
+    """A modulus claim in Fraction norms: |f(x) - f(y)| <= p**-omega(k) for
+    y = x mod p**k, with f(y) known to omega(k) digits, over per_depth
+    draws x and the depths first..precision - 1."""
+    draw, depths = Stream(seed), range(first, precision)
+    for _ in range(per_depth):
+        x = draw.zp(p, precision)
+        fx = evaluate(x)
+        for k in depths:
+            fy = evaluate(x.truncated(k))
+            if fy.abs_precision < omega(k) \
+                    or (fx - fy).norm_upper() > Fraction(p) ** -omega(k):
+                return ClaimResult(claim, False, {"k": k, "x": x.render()})
+    return ClaimResult(claim, per_depth * len(depths) > 0, {
+        "per_depth": per_depth, "depths": len(depths)})
 
 
 def _contraction_fraction(evaluate, p, precision, per_depth, seed):
-    """thm34ii's contraction claim before integer valuations: the ratio
-    |g(x) - g(y)| / |x - y|**2 in Fraction arithmetic, over per_depth
-    sweeps of the depths 0..precision - 1."""
-    draw = Stream(seed)
-    worst, depths = Fraction(0), set()
-    for _ in range(per_depth):
-        for k in range(precision):
-            x, y = _pair_at_depth(draw, p, k, precision)
-            d = x - y
-            if d.is_zero_like:
-                continue
-            depths.add(d.valuation)
-            lhs = (evaluate(x) - evaluate(y)).norm_upper()
-            rhs = d.abs_value() ** 2
-            worst = max(worst, lhs / rhs)
-            if lhs > rhs:
-                return ClaimResult("contraction", False,
-                                   {"x": x.render(), "y": y.render()})
-    return ClaimResult("contraction", bool(depths), {
-        "per_depth": per_depth, "depths": len(depths),
-        "worst_ratio": float(worst)})
+    """thm34ii's contraction |g(x) - g(y)| <= |x - y|**2 at depths 1 up."""
+    return _modulus_fraction("contraction", evaluate, p, precision,
+                             lambda k: 2 * k, 1, per_depth, seed)
 
 
-def _continuity_modulus_fraction(evaluate, p, precision, pairs, m_max, seed):
-    """thm2_f's continuity-modulus claim before integer valuations: norms
-    compared with Fraction(p) ** -(2m+1)."""
-    draw = Stream(seed)
-    checked = 0
-    for i in range(pairs):
-        m = 1 + i % m_max
-        bound = Fraction(p) ** (-(2 * m + 1))
-        x, y = _pair_at_depth(draw, p, 2 * m + 2, precision)
-        if (x - y).norm_upper() >= bound:
-            continue
-        checked += 1
-        d = (evaluate(x) - evaluate(y)).norm_upper()
-        if d >= bound:
-            return ClaimResult("continuity-modulus", False,
-                               {"m": m, "x": x.render()})
-    return ClaimResult("continuity-modulus", checked > 0,
-                       {"pairs": pairs, "m_max": m_max})
+def _continuity_modulus_fraction(evaluate, p, precision, per_depth, seed):
+    """thm2_f's modulus |f(x) - f(y)| <= p**-2m for x = y mod p**2m, at
+    depths 2 up."""
+    return _modulus_fraction("continuity-modulus", evaluate, p, precision,
+                             lambda k: k - k % 2, 2, per_depth, seed)
 
 
-def _assert_claims_match_references(p, precision, per_depth, pairs, seeds,
-                                    sets=(IndexSet(3, 0),),
-                                    m_maxes=(1, 10)):
+def _assert_claims_match_references(p, precision, per_depth, seeds,
+                                    sets=(IndexSet(3, 0),)):
     """Each whole ClaimResult equals the one its Fraction reference gives on
     the per-digit reference functions."""
     for N in sets:
@@ -1424,38 +1392,34 @@ def _assert_claims_match_references(p, precision, per_depth, pairs, seeds,
                                          seed), (N, seed)
     f = thm2_f(p, precision)
     for seed in seeds:
-        for m_max in m_maxes:
-            assert f.run_claim("continuity-modulus", pairs=pairs,
-                               m_max=m_max, seed=seed) \
-                == _continuity_modulus_fraction(
-                    lambda x: _thm2_f_by_digit(p, precision, x), p,
-                    precision, pairs, m_max, seed), (seed, m_max)
+        assert f.run_claim("continuity-modulus", per_depth=per_depth,
+                           seed=seed) \
+            == _continuity_modulus_fraction(
+                lambda x: _thm2_f_by_digit(p, precision, x), p, precision,
+                per_depth, seed), seed
 
 
-@pytest.mark.parametrize("per_depth,pairs", [(0, 1), (1, 150)],
-                         ids=["1", "150"])
+@pytest.mark.parametrize("seed", [1, 150])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
-def test_sampled_claims_match_fraction_references(p, per_depth, pairs):
+def test_sampled_claims_match_fraction_references(p, seed):
     # odd precisions (2 (precision // 2) < precision), limb edges (k = 31 at
-    # p = 2, 3 and k = 20 at p = 5, 7), draws of more than one sha256 block
-    # (p**130 at p = 101), and y = x at the depth 2 m_max + 2 = 22.  The
-    # least contraction with pairs is one sweep of the depths, which the
-    # large case runs, so the small case checks its report on no pairs
+    # p = 2, 3 and k = 20 at p = 5, 7) and draws of more than one sha256
+    # block (p**130 at p = 101), with one draw and with none
     for precision in (22, 23, 31, 32, 62, 63, 130):
-        _assert_claims_match_references(
-            p, precision, per_depth, pairs, range(1, 6),
-            sets=(IndexSet(3, 0), IndexSet(2, 1)))
+        for per_depth in (0, 1):
+            _assert_claims_match_references(
+                p, precision, per_depth, [seed],
+                sets=(IndexSet(3, 0), IndexSet(2, 1)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sampled_claims_match_fraction_references_at_full_size(p):
-    _assert_claims_match_references(p, DEFAULT_PRECISION, 32, 10_000,
-                                    [100 + p], m_maxes=(10,))
+    _assert_claims_match_references(p, DEFAULT_PRECISION, 32, [100 + p])
 
 
 def test_sampled_claims_report_the_reference_failure(monkeypatch):
     # neither claim fails on a correct entry: a kernel that perturbs the
-    # output must make both fail on the pair the reference finds
+    # output must make both fail on the point the reference finds
     p, n = 3, DEFAULT_PRECISION
     spread, first_zero_pair = zoo._spread, zoo._first_zero_pair
 
@@ -1472,14 +1436,13 @@ def test_sampled_claims_report_the_reference_failure(monkeypatch):
     monkeypatch.setattr(zoo, "_spread", spread_digit_2_into_1)
     g = thm34ii_gN(IndexSet(3, 0), p, n)
     got = g.run_claim("contraction", seed=7)
-    assert not got.passed and set(got.details) == {"x", "y"}
+    assert not got.passed and set(got.details) == {"k", "x"}
     assert got == _contraction_fraction(g.function, p, n, 32, 7)
     monkeypatch.setattr(zoo, "_first_zero_pair", one_pair_early)
     f = thm2_f(p, n)
     got = f.run_claim("continuity-modulus", seed=7)
-    assert not got.passed and set(got.details) == {"m", "x"}
-    assert got == _continuity_modulus_fraction(f.function, p, n, 10_000, 10,
-                                               7)
+    assert not got.passed and set(got.details) == {"k", "x"}
+    assert got == _continuity_modulus_fraction(f.function, p, n, 32, 7)
 
 
 def _deep_digit_mutant(spread_table, first):
@@ -1499,28 +1462,66 @@ def _deep_digit_mutant(spread_table, first):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_contraction_fails_on_a_kernel_broken_past_a_deep_digit(
         monkeypatch, p, first):
-    # at its default size the claim checks 32 pairs at each depth up to 63;
+    # at its default size the claim reads 32 points at each depth up to 63;
     # 10 000 uniform pairs reach about depth 11, and passed both mutants
     monkeypatch.setattr(zoo, "_spread_table",
                         _deep_digit_mutant(zoo._spread_table, first))
     got = build_entry("thm34ii", p).run_claim("contraction")
-    assert not got.passed and set(got.details) == {"x", "y"}
+    assert not got.passed and set(got.details) == {"k", "x"}
 
 
-def _sphere_mutant(padic_function):
-    """``PadicFunction`` that wraps ``prop26_fN``'s evaluator, as it is
-    built, so that its value p**n on each sphere |x| = p**-(n^2) with
-    n >= 3 becomes p**n (1 + x): a derivative p**n there, where it is 0."""
+def _evaluator_mutant(padic_function, builder, change):
+    """``PadicFunction`` that wraps the evaluator of ``builder``, as it is
+    built, so that its answer y at x becomes change(x, y)."""
 
     def build(evaluator, *args, **kwargs):
         def mutant(x):
-            y = evaluator(x)
-            return y if y.is_zero_like or x.valuation < 9 else y + y * x
+            return change(x, evaluator(x))
 
-        wrap = evaluator.__qualname__ == "prop26_fN.<locals>.evaluate"
+        wrap = evaluator.__qualname__ == f"{builder}.<locals>.evaluate"
         return padic_function(mutant if wrap else evaluator, *args, **kwargs)
 
     return build
+
+
+def _sphere_mutant(padic_function):
+    """``prop26_fN``'s value p**n on each sphere |x| = p**-(n^2) with
+    n >= 3 becomes p**n (1 + x): a derivative p**n there, where it is 0."""
+    return _evaluator_mutant(
+        padic_function, "prop26_fN",
+        lambda x, y: y if y.is_zero_like or x.valuation < 9 else y + y * x)
+
+
+def _deepest_digit_mutant(x, y):
+    """thm34ii's answer plus p times the deepest known digit of x."""
+    p = x.prime
+    return y + PadicNumber.from_int(p * x.digit(x.abs_precision - 1), p,
+                                    y.abs_precision)
+
+
+def _last_digit_mutant(x, y):
+    """thm2_f's answer where no digit pair is zero, plus p times its own
+    last known digit; the exact answers stay."""
+    p = x.prime
+    if y.exact is not None:
+        return y
+    return y + PadicNumber.from_int(p * y.digit(y.abs_precision - 1), p,
+                                    y.abs_precision)
+
+
+@pytest.mark.parametrize("builder,name,claim,change", [
+    ("thm34ii_gN", "thm34ii", "contraction", _deepest_digit_mutant),
+    ("thm2_f", "thm2_f", "continuity-modulus", _last_digit_mutant)],
+    ids=["thm34ii", "thm2_f"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_modulus_claims_fail_on_an_evaluator_mutant(monkeypatch, p, builder,
+                                                    name, claim, change):
+    # each mutant keeps the answer's precision and moves its digit 1 by a
+    # digit that a refinement of x may change
+    monkeypatch.setattr(zoo, "PadicFunction",
+                        _evaluator_mutant(zoo.PadicFunction, builder, change))
+    got = build_entry(name, p).run_claim(claim)
+    assert not got.passed and set(got.details) == {"k", "x"}
 
 
 @pytest.mark.parametrize("name", ["prop26", "prop26_g"])
@@ -1539,7 +1540,7 @@ def test_derivative_zero_fails_on_a_sphere_mutant(monkeypatch, p, name):
 
 def test_claims_refuse_bad_sizes():
     # every integer size at -1 raises DomainError; at 0 the claim fails,
-    # except m_max and threshold, which must be positive
+    # except threshold, which must be positive
     p = 3
     one = PadicNumber.one(p, 64)
     shells = [thm16_fbeta(PadicNumber.from_int(b, p, 64), p, 64)
@@ -1551,11 +1552,11 @@ def test_claims_refuse_bad_sizes():
             sizes += [(e, claim, key) for key, param
                       in inspect.signature(fn).parameters.items()
                       if key != "seed" and isinstance(param.default, int)]
-    assert len(sizes) == 22
+    assert len(sizes) == 21
     for e, claim, key in sizes:
         with pytest.raises(DomainError):
             e.run_claim(claim, **{key: -1})
-        if key in ("m_max", "threshold"):
+        if key == "threshold":
             with pytest.raises(DomainError):
                 e.run_claim(claim, **{key: 0})
         else:
