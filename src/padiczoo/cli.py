@@ -25,7 +25,8 @@ from typing import Optional
 from .core import DEFAULT_PRECISION, DomainError, InsufficientPrecision, \
     is_prime, parse_padic
 from .haar import estimate_E_prefix_series, estimate_Y0, slln_report
-from .zoo import ENTRY_NAMES, build_entry, lip_coefficient_rows
+from .zoo import ENTRY_NAMES, build_entry, entry_parameters, \
+    lip_coefficient_rows
 from .families import IndexSet
 
 EXIT_PASS = 0
@@ -33,7 +34,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-HAAR_CLAIMS = ("Y0", "E-prefix", "slln")
+# Each Monte Carlo claim by name: its reports at prime p and seed over
+# ``samples`` draws.  Each looks its estimator up by name when it runs.
+HAAR_CLAIMS = {
+    "Y0": lambda p, seed, samples=100_000: [estimate_Y0(p, samples, seed)],
+    "E-prefix": lambda p, seed, samples=100_000, k=10:
+        estimate_E_prefix_series(p, k, samples, seed),
+    "slln": lambda p, seed, samples=100_000, k=10:
+        [slln_report(p, k, samples, seed)],
+}
+# The parameters each option may fill; the first one the callee names wins
+_OPTION_PARAMETERS = {"--set": ("N",), "--beta": ("beta",), "--k": ("k",),
+                      "--limit": ("limit", "n_limit"),
+                      "--samples": ("samples",)}
 
 
 def _emit_json(args, **fields) -> None:
@@ -51,13 +64,32 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _keywords(callee: str, params, args, *options: str) -> dict:
+    """A callee's keyword arguments from ``args``: the seed if ``params``
+    names it, and each given option under the first of its parameters that
+    ``params`` names.  An option with none there, or a negative size, raises
+    DomainError."""
+    kwargs = {"seed": args.seed} if "seed" in params else {}
+    for opt in options:
+        value = getattr(args, opt[2:])
+        if value is None:
+            continue
+        key = next((k for k in _OPTION_PARAMETERS[opt] if k in params), None)
+        if key is None:
+            raise DomainError(f"{callee} takes no {opt}")
+        if isinstance(value, int) and value < 0:
+            raise DomainError(f"{opt} must be nonnegative")
+        kwargs[key] = value
+    return kwargs
+
+
 def _entry_from_args(args):
-    beta = None
-    if args.beta is not None:
-        beta = parse_padic(args.beta, args.prime, args.precision)
+    _keywords(f"entry {args.entry}", entry_parameters(args.entry), args,
+              "--set", "--beta")
+    beta = (None if args.beta is None
+            else parse_padic(args.beta, args.prime, args.precision))
     return build_entry(args.entry, args.prime, args.precision,
-                       family_size=args.set[0], member_bit=args.set[1],
-                       beta=beta)
+                       *(args.set or (None, None)), beta)
 
 
 def cmd_eval(args) -> int:
@@ -74,47 +106,26 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.entry == "haar":
-        return _verify_haar(args)
-    entry = _entry_from_args(args)
-    kwargs = {}
-    claim = entry.claims.get(args.claim)
-    params = inspect.signature(claim).parameters if claim is not None else {}
-    if "seed" in params:
-        kwargs["seed"] = args.seed
-    for opt, value, keys in (("--limit", args.limit, ("limit", "n_limit")),
-                             ("--samples", args.samples, ("samples",)),
-                             ("--k", args.k, ())):
-        if value is None or claim is None:
-            continue
-        key = next((k for k in keys if k in params), None)
-        if key is None:
-            raise DomainError(f"claim {args.claim!r} of {entry.name} takes "
-                              f"no {opt}")
-        if value < 0:
-            raise DomainError(f"{opt} must be nonnegative")
-        kwargs[key] = value
-    result = entry.run_claim(args.claim, **kwargs)
-    _emit_json(args, entry=entry.name, **result.to_json_dict())
-    return EXIT_PASS if result.passed else EXIT_FAIL
-
-
-def _verify_haar(args) -> int:
-    if args.limit is not None:
-        raise DomainError("haar claims take no --limit")
-    n = 100_000 if args.samples is None else args.samples
-    k = 10 if args.k is None else args.k
-    if args.claim == "Y0":
-        reports = [estimate_Y0(args.prime, n, args.seed)]
-    elif args.claim == "E-prefix":
-        reports = estimate_E_prefix_series(args.prime, k, n, args.seed)
-    elif args.claim == "slln":
-        reports = [slln_report(args.prime, k, n, args.seed)]
+        _keywords("entry haar", (), args, "--set", "--beta")
+        entry, claims = None, HAAR_CLAIMS
     else:
+        entry = _entry_from_args(args)
+        claims = entry.claims
+    if args.claim not in claims:
         raise DomainError(
-            f"unknown haar claim {args.claim!r}; have {sorted(HAAR_CLAIMS)}")
-    passed = all(r.within(3.0) for r in reports)
-    _emit_json(args, entry="haar", claim=args.claim, passed=passed,
-               reports=[r.to_json_dict() for r in reports])
+            f"unknown claim {args.claim!r}; have {sorted(claims)}")
+    kwargs = _keywords(f"claim {args.claim!r} of {args.entry}",
+                       inspect.signature(claims[args.claim]).parameters,
+                       args, "--limit", "--samples", "--k")
+    if entry is None:
+        reports = claims[args.claim](args.prime, **kwargs)
+        passed = all(r.within(3.0) for r in reports)
+        fields = {"claim": args.claim, "passed": passed,
+                  "reports": [r.to_json_dict() for r in reports]}
+    else:
+        result = entry.run_claim(args.claim, **kwargs)
+        passed, fields = result.passed, result.to_json_dict()
+    _emit_json(args, entry=args.entry, **fields)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -134,7 +145,7 @@ def cmd_table(args) -> int:
         raise DomainError("--n-max must be nonnegative")
     p = args.prime
     alpha = args.alpha
-    N = IndexSet(*args.set)
+    N = IndexSet(*(args.set or (3, 0)))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "coeff_norm", "coeff_norm_decimal",
@@ -156,10 +167,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    reports = estimate_E_prefix_series(args.prime, args.k, args.samples,
-                                       args.seed)
-    y0 = estimate_Y0(args.prime, args.samples, args.seed)
-    _emit_json(args, samples=args.samples, Y0=y0.to_json_dict(),
+    samples = {} if args.samples is None else {"samples": args.samples}
+    k = {} if args.k is None else {"k": args.k}
+    reports = HAAR_CLAIMS["E-prefix"](args.prime, args.seed, **samples, **k)
+    [y0] = HAAR_CLAIMS["Y0"](args.prime, args.seed, **samples)
+    _emit_json(args, samples=y0.samples, Y0=y0.to_json_dict(),
                E_prefix=[r.to_json_dict() for r in reports])
     ok = y0.within(3.0) and all(r.within(3.0) for r in reports)
     return EXIT_PASS if ok else EXIT_FAIL
@@ -201,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_entry_opts(sp):
         sp.add_argument("entry")
-        sp.add_argument("--set", type=_parse_set, default=(3, 0),
+        sp.add_argument("--set", type=_parse_set,
                         help='index set as "k,bit" in the periodic family')
 
     sp = sub.add_parser("eval", help="evaluate an entry at a point")
@@ -226,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_table, formats=("text",))
 
     sp = sub.add_parser("haar", help="Monte Carlo digit-pair statistics")
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--k", type=int)
     sp.set_defaults(fn=cmd_haar, formats=("json",))
 
     sp = sub.add_parser("list", help="list entries and their claims")

@@ -8,6 +8,7 @@ registered under short stable names for the CLI.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,7 +49,8 @@ class ZooEntry:
     only on the shell entries of ``thm16_fbeta``, whose derivative
     ``poly_combine`` composes from it; the pinched entries of ``cor15``
     take an exponent too but leave it unset.  ``build_entry`` names an
-    entry by its registry key, a builder called directly after itself."""
+    entry by its registry key, a builder called directly after itself, and
+    passes it only the index set or exponent its builder's signature names."""
 
     name: str
     prime: int
@@ -903,34 +905,54 @@ def linear_combination(entries: Sequence[ZooEntry],
 # ---------------------------------------------------------------------------
 # registry
 
-# Each registered entry by name, built from the prime, the precision, the
-# index set N and the exponent beta.
+# Each registered entry by name.  Its builder is called by keyword with p,
+# precision and what else its signature names: N, beta or neither.
 _REGISTRY = {
-    "thm34i": lambda p, n, N, beta: thm34i_fN(N, p, n),
-    "thm34ii": lambda p, n, N, beta: thm34ii_gN(N, p, n),
-    "lip_fN": lambda p, n, N, beta: lip_fN(N, p, n),
-    "thm16": lambda p, n, N, beta: thm16_fbeta(beta, p, n),
-    "cor15": lambda p, n, N, beta: cor15_Fbeta(
-        beta, PadicNumber.zero(p, n), p, n),
-    "cor15_g": lambda p, n, N, beta: cor15_gbeta(
-        beta, PadicNumber.zero(p, n), p, n),
-    "prop26": lambda p, n, N, beta: prop26_fN(N, p, n),
-    "prop26_g": lambda p, n, N, beta: prop26_fN(None, p, n),
-    "thm2_f": lambda p, n, N, beta: thm2_f(p, n),
-    "thm2_g": lambda p, n, N, beta: thm2_g(p, n),
-    "thm2_fN": lambda p, n, N, beta: thm2_g(p, n, N=N),
+    "thm34i": thm34i_fN,
+    "thm34ii": thm34ii_gN,
+    "lip_fN": lip_fN,
+    "thm16": thm16_fbeta,
+    "cor15": lambda p, precision, beta: cor15_Fbeta(
+        beta, PadicNumber.zero(p, precision), p, precision),
+    "cor15_g": lambda p, precision, beta: cor15_gbeta(
+        beta, PadicNumber.zero(p, precision), p, precision),
+    "prop26": prop26_fN,
+    "prop26_g": lambda p, precision: prop26_fN(None, p, precision),
+    "thm2_f": thm2_f,
+    "thm2_g": lambda p, precision: thm2_g(p, precision),
+    "thm2_fN": thm2_g,
 }
 
 ENTRY_NAMES = tuple(_REGISTRY)
+_PARAMETERS = {name: frozenset(inspect.signature(b).parameters)
+               - {"p", "precision"} for name, b in _REGISTRY.items()}
+
+
+def entry_parameters(name: str) -> frozenset:
+    """What entry ``name``'s builder reads past the prime and precision."""
+    if name not in _PARAMETERS:
+        raise DomainError(f"unknown entry {name!r}; have {sorted(_REGISTRY)}")
+    return _PARAMETERS[name]
 
 
 def build_entry(name: str, p: int, precision: int = DEFAULT_PRECISION,
-                family_size: int = 3, member_bit: int = 0,
+                family_size: Optional[int] = None,
+                member_bit: Optional[int] = None,
                 beta: Optional[PadicNumber] = None) -> ZooEntry:
-    """Build a registered entry with canonical parameters."""
-    N = IndexSet(family_size, member_bit)
-    if beta is None:
-        beta = PadicNumber.from_int(1 + p, p, precision)
-    if name not in _REGISTRY:
-        raise DomainError(f"unknown entry {name!r}; have {sorted(_REGISTRY)}")
-    return replace(_REGISTRY[name](p, precision, N, beta), name=name)
+    """Build a registered entry.  An unset index set is IndexSet(3, 0), part
+    by part, and an unset beta is 1 + p; one set on an entry that does not
+    read it raises DomainError."""
+    reads = entry_parameters(name)
+    kwargs = {}
+    if "N" in reads:
+        kwargs["N"] = IndexSet(3 if family_size is None else family_size,
+                               member_bit or 0)
+    elif (family_size, member_bit) != (None, None):
+        raise DomainError(f"entry {name} takes no index set")
+    if "beta" in reads:
+        kwargs["beta"] = (PadicNumber.from_int(1 + p, p, precision)
+                          if beta is None else beta)
+    elif beta is not None:
+        raise DomainError(f"entry {name} takes no beta")
+    return replace(_REGISTRY[name](p=p, precision=precision, **kwargs),
+                   name=name)

@@ -12,6 +12,19 @@ from padiczoo.haar import Stream
 from padiczoo.vanderput import schedule_exponent
 
 
+# The entry options each entry reads, written out from the constructions
+# rather than read from the registry: the members of the independent family
+# (sets (i), (ii), (iii), (v) and prop26) take an index set, the shells and
+# the pinched shells an exponent, and the rest neither.  The Haar claims
+# read none of them.
+ENTRY_OPTIONS = {
+    "thm34i": {"--set"}, "thm34ii": {"--set"}, "lip_fN": {"--set"},
+    "thm16": {"--beta"}, "cor15": {"--beta"}, "cor15_g": {"--beta"},
+    "prop26": {"--set"}, "prop26_g": set(), "thm2_f": set(),
+    "thm2_g": set(), "thm2_fN": {"--set"}, "haar": set(),
+}
+
+
 @pytest.fixture
 def rng():
     return Stream(20260823)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padiczoo
-from conftest import power_str, reference_lip_rows
+from conftest import ENTRY_OPTIONS, power_str, reference_lip_rows
 from padiczoo.cli import HAAR_CLAIMS, main
 from padiczoo.families import IndexSet
 from padiczoo.zoo import ENTRY_NAMES, build_entry
@@ -147,9 +147,13 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     code, out, _ = run(capsys, "--prime", "3", "--precision", "32",
                        "--seed", "7", "--format", "json", "--out",
                        str(target), "eval", "cor15", "--beta", "1/7",
-                       "--set", "3,1", "1/3")
+                       "1/3")
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["seed"] == 7
+    # cor15 takes no index set: a --set kept from here would be refused
+    code, out, _ = run(capsys, "--prime", "3", "eval", "thm34i", "--set",
+                       "3,1", "1/3")
+    assert code == 0 and out
     code, out, err = run(capsys, "eval", "cor15")
     assert code == 2 and out == "" and "required" in err
     code, out, _ = run(capsys, "--help")
@@ -351,7 +355,9 @@ def test_verify_samples_forwarded_where_claim_takes_it(capsys):
 
 
 @pytest.mark.parametrize("entry,claim,opt", [
-    (entry, claim, opt) for entry, claim, params in GALLERY_CLAIMS
+    (entry, claim, opt) for entry, claim, params in GALLERY_CLAIMS + [
+        ("haar", claim, set(inspect.signature(fn).parameters))
+        for claim, fn in sorted(HAAR_CLAIMS.items())]
     for opt in ("--samples", "--k") if opt[2:] not in params])
 def test_verify_refuses_option_the_claim_takes_no_value_for(capsys, entry,
                                                             claim, opt):
@@ -361,17 +367,55 @@ def test_verify_refuses_option_the_claim_takes_no_value_for(capsys, entry,
     assert err.startswith("error:") and opt in err
 
 
+ENTRY_OPTION_VALUES = {"--set": "2,1", "--beta": "1/7"}
+
+
+def _unread_options():
+    """Each argv that gives an entry or a Haar claim an option it does not
+    read, by the hand-written table in conftest, with that option."""
+    for entry, reads in ENTRY_OPTIONS.items():
+        claims = (["Y0", "E-prefix", "slln"] if entry == "haar"
+                  else [min(build_entry(entry, 3).claims)])
+        for opt, value in ENTRY_OPTION_VALUES.items():
+            if opt in reads:
+                continue
+            if entry != "haar":
+                yield ["eval", entry, opt, value, "1"], opt
+            for claim in claims:
+                yield ["verify", entry, claim, opt, value], opt
+    yield ["verify", "haar", "Y0", "--k", "3"], "--k"
+
+
+@pytest.mark.parametrize("argv,opt", [
+    pytest.param(argv, opt, id=" ".join(argv))
+    for argv, opt in _unread_options()])
+def test_entries_and_claims_refuse_options_they_do_not_read(capsys, argv,
+                                                            opt):
+    code, out, err = run(capsys, "--prime", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f" takes no {opt}\n")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_haar_keeps_its_defaults(capsys, monkeypatch):
-    # without --samples and --k, verify haar draws 100000 samples, k = 10
+    # without --samples and --k, verify haar draws 100000 samples, k = 10,
+    # and so does the haar command
     import padiczoo.cli as cli
-    calls, real = [], cli.estimate_E_prefix_series
+    calls, real, real_y0 = [], cli.estimate_E_prefix_series, cli.estimate_Y0
 
     def spy(p, k, n, seed):
         calls.append((k, n))
         return real(p, k, 300, seed)
+
+    def spy_y0(p, n, seed):
+        calls.append(n)
+        return real_y0(p, 300, seed)
     monkeypatch.setattr(cli, "estimate_E_prefix_series", spy)
+    monkeypatch.setattr(cli, "estimate_Y0", spy_y0)
     code, _, _ = run(capsys, "--prime", "3", "verify", "haar", "E-prefix")
     assert code in (0, 1) and calls == [(10, 100_000)]
+    code, _, _ = run(capsys, "--prime", "3", "haar")
+    assert code in (0, 1) and calls == [(10, 100_000)] * 2 + [100_000]
 
 
 def test_table_takes_no_beta(capsys):
@@ -514,12 +558,37 @@ def _argv(draw):
     return argv
 
 
+def _unread_in(argv: list) -> set:
+    """The options that ``argv`` gives an entry or a Haar claim that does not
+    read them and that the CLI refuses first; empty when the rule does not
+    decide the run: no such option, or a bad prime, precision, format, index
+    set or entry, or a negative size checked before ``--k``."""
+    opts = dict(zip(argv, argv[1:]))
+    command = next((a for a in argv if a in ("eval", "verify")), None)
+    if (command is None or opts["--prime"] not in ("2", "3", "5", "7")
+            or int(opts["--precision"]) < 8 or "a,b" in argv
+            or command == "verify" and opts.get("--format") == "text"):
+        return set()
+    entry, claim = argv[argv.index(command) + 1:][:2]
+    if entry not in ENTRY_OPTIONS:
+        return set()
+    unread = {o for o in ("--set", "--beta") if o in opts}
+    unread -= ENTRY_OPTIONS[entry]
+    if unread or entry != "haar" or claim != "Y0" or "--k" not in opts:
+        return unread
+    # Y0's --limit and --samples are checked before its --k
+    if "--limit" in opts:
+        return {"--limit"}
+    return set() if int(opts["--samples"]) < 0 else {"--k"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=_argv())
 def test_cli_contract_over_drawn_argv(argv):
     # every run exits 0-3 without a traceback; a refusal says which kind it
     # is on its last stderr line, and a report that passes or fails prints
-    # strict JSON where the command prints JSON
+    # strict JSON where the command prints JSON; an entry or Haar claim given
+    # an option it does not read refuses it by name
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -527,6 +596,10 @@ def test_cli_contract_over_drawn_argv(argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     lines = err.splitlines()
+    unread = _unread_in(argv)
+    if unread:
+        assert code == 2 and out == "", (argv, err)
+        assert any(lines[-1].endswith(f" takes no {o}") for o in unread), err
     if code == 2:
         assert out == "" and USAGE_LINE.fullmatch(lines[-1]), err
     elif code == 3:

@@ -11,17 +11,20 @@ default size, at p = 3.  Any change to a value, a verdict, a report or an
 error exit changes a digest and fails here.
 
 Three more groups pin how the index set and the exponent reach the
-entries: ``verify`` of every claim that takes no seed, at p = 2 and 5 and
-at p = 3 with ``--set 2,1``, and ``eval`` of every entry at the same points
-with ``--set 2,1 --beta 1/7`` at p = 3.  They hold no seeded claim, so a
-change to the samplers leaves them as they are.
+entries: ``verify`` of every claim that takes no seed, at p = 2 and 5, and
+at p = 3 with ``--set 2,1`` on the entries that read an index set; and
+``eval`` of every entry at the same points at p = 3, with ``--set 2,1`` on
+the entries that read an index set and ``--beta 1/7`` on those that read
+an exponent.  An entry is given only the options it reads, since it
+refuses any other.  They hold no seeded claim, so a change to the samplers
+leaves them as they are.
 """
 
 import inspect
 
 import pytest
 
-from conftest import assert_cli_golden
+from conftest import ENTRY_OPTIONS, assert_cli_golden
 from padiczoo.zoo import ENTRY_NAMES, build_entry
 
 
@@ -46,16 +49,23 @@ def _unseeded_claims(p: int) -> list[tuple[str, str]]:
             if "seed" not in inspect.signature(fn).parameters]
 
 
+def _read(name: str, **values: str) -> list[str]:
+    """The options among ``values`` (``set="2,1"`` for ``--set 2,1``) that
+    entry ``name`` reads, in the order given."""
+    return [a for key, value in values.items()
+            if f"--{key}" in ENTRY_OPTIONS[name] for a in (f"--{key}", value)]
+
+
 def _commands(p: int, command: str) -> list[list[str]]:
     head = ["--prime", str(p)]
     if command == "eval-set-beta":
-        return [head + ["eval", name, "--set", "2,1", "--beta", "1/7", x]
+        return [head + ["eval", name, *_read(name, set="2,1", beta="1/7"), x]
                 for name in ENTRY_NAMES for x in _points(p)]
     if command == "verify-unseeded":
         return [head + ["verify", name, claim]
                 for name, claim in _unseeded_claims(p)]
     if command == "verify-unseeded-set":
-        return [head + ["verify", name, claim, "--set", "2,1"]
+        return [head + ["verify", name, claim, *_read(name, set="2,1")]
                 for name, claim in _unseeded_claims(p)]
     if command == "list":
         return [head + ["list"]]

@@ -10,8 +10,8 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ball_exponent, decompose, depth_pairs, \
-    reference_lip_rows
+from conftest import ENTRY_OPTIONS, ball_exponent, decompose, \
+    depth_pairs, reference_lip_rows
 import padiczoo.zoo as zoo
 from padiczoo.cli import _decimal, main
 from padiczoo.core import DEFAULT_PRECISION, DomainError, \
@@ -951,6 +951,38 @@ def test_registry_complete():
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_build_entry_takes_only_what_the_entry_reads(name):
+    # an index set or an exponent reaches only the entries that read it,
+    # by the hand-written table in conftest; the others refuse it, and
+    # every entry builds with neither
+    p = 3
+    assert build_entry(name, p, 16, beta=None).name == name
+    options = {"--set": [{"family_size": 2, "member_bit": 1},
+                         {"member_bit": 1}, {"family_size": 2}],
+               "--beta": [{"beta": PadicNumber.from_rational(1, 7, p)}]}
+    for opt, kwargs_list in options.items():
+        for kwargs in kwargs_list:
+            if opt in ENTRY_OPTIONS[name]:
+                assert build_entry(name, p, 16, **kwargs).name == name
+            else:
+                with pytest.raises(DomainError,
+                                   match=f"^entry {name} takes no "):
+                    build_entry(name, p, 16, **kwargs)
+
+
+def test_build_entry_fills_an_unset_part_of_the_index_set():
+    # each unset part of the index set is the canonical IndexSet(3, 0)'s
+    p = 3
+    for kwargs, N in (({}, IndexSet(3, 0)),
+                      ({"member_bit": 2}, IndexSet(3, 2)),
+                      ({"family_size": 2}, IndexSet(2, 0))):
+        f, want = build_entry("thm34i", p, **kwargs).function, thm34i_fN(N, p)
+        for n in range(1, 9):
+            x = PadicNumber.from_int(p ** n, p)
+            assert f(x) == want.function(x)
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_entries_refuse_a_point_of_another_prime(name):
     # a gallery function knows its prime: a point of another prime is
     # refused before any of its digits is read
@@ -1587,6 +1619,8 @@ def test_refinement_agrees_or_refuses(name, p, data):
     # the analytic entries also run the non-terminating binomial series
     beta = data.draw(st.sampled_from([None, (1, 7), (-2, 3 * p + 1)]),
                      label="beta")
+    if "--beta" not in ENTRY_OPTIONS[name]:
+        beta = None
 
     def entry(precision):
         b = None if beta is None else PadicNumber.from_rational(
